@@ -147,6 +147,112 @@ fn hyperion_twelve_camera_budget_allocates() {
     let _ = CameraId(0); // silence unused import on some cfgs
 }
 
+/// FNV-1a over the exact bits of runtime decisions.
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Self {
+        Self(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn bytes(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+
+    fn u64(&mut self, v: u64) {
+        self.bytes(&v.to_le_bytes());
+    }
+
+    fn f64(&mut self, v: f64) {
+        self.u64(v.to_bits());
+    }
+
+    fn decision(&mut self, d: &zhuyi_repro::runtime::RuntimeDecision) {
+        use zhuyi_repro::runtime::SafetyAction;
+        self.f64(d.time.value());
+        let est = &d.estimates;
+        self.f64(est.time.value());
+        self.u64(est.actors.len() as u64);
+        for a in &est.actors {
+            self.u64(u64::from(a.actor.0));
+            self.f64(a.latency.value());
+            self.u64(a.outcome as u64);
+            self.u64(u64::from(a.stats.latency_steps));
+            self.u64(a.stats.constraint_evaluations);
+        }
+        self.u64(est.cameras.len() as u64);
+        for c in &est.cameras {
+            self.u64(c.camera.0 as u64);
+            self.u64(c.kind as u64);
+            self.f64(c.latency.value());
+            self.u64(c.limiting_actor.map_or(u64::MAX, |a| u64::from(a.0)));
+        }
+        self.u64(u64::from(d.verdict.safe));
+        self.u64(d.verdict.alarms.len() as u64);
+        for a in &d.verdict.alarms {
+            self.u64(a.camera.0 as u64);
+            self.u64(a.kind as u64);
+            self.f64(a.required.value());
+            self.f64(a.actual.value());
+        }
+        self.u64(d.verdict.recommended.len() as u64);
+        for action in &d.verdict.recommended {
+            match action {
+                SafetyAction::RaiseRate { camera, to } => {
+                    self.u64(0);
+                    self.u64(camera.0 as u64);
+                    self.f64(to.value());
+                }
+                SafetyAction::DegradeNonEssential => self.u64(1),
+                SafetyAction::ActivateBackup => self.u64(2),
+            }
+        }
+        match &d.allocation {
+            None => self.u64(0),
+            Some(alloc) => {
+                self.u64(1);
+                self.u64(alloc.rates.len() as u64);
+                for r in &alloc.rates {
+                    self.f64(r.value());
+                }
+                self.f64(alloc.demand_total.value());
+                self.u64(u64::from(alloc.satisfied));
+            }
+        }
+    }
+}
+
+/// Pins every online decision bit for bit: all 9 catalog scenarios at
+/// seed 0 and 30 FPR, constant-acceleration prediction, default config.
+/// The curved cut-in is the only drive on an arc road, so hinted
+/// projection onto curved paths is covered here. Any change to the
+/// estimator's answers or to its `SearchStats` moves the digest.
+#[test]
+fn online_decisions_match_pinned_digest() {
+    let runtime = ZhuyiRuntime::new(RuntimeConfig::default()).expect("valid config");
+    let mut fnv = Fnv::new();
+    let mut total = 0usize;
+    for id in ScenarioId::ALL {
+        let sim = Scenario::build(id, 0)
+            .simulation(RatePlan::Uniform(Fpr(30.0)))
+            .expect("valid plan");
+        let (_, decisions) = drive(sim, &runtime, &ConstantAcceleration);
+        fnv.u64(decisions.len() as u64);
+        for d in &decisions {
+            fnv.decision(d);
+        }
+        total += decisions.len();
+    }
+    assert!(total > 0);
+    assert_eq!(
+        fnv.0, 0x1f39_70fe_14ed_9ebd,
+        "online decision digest moved ({total} decisions)"
+    );
+}
+
 #[test]
 fn underprovisioned_system_alarms_before_collision_risk() {
     // Vehicle following at 2 FPR stays collision-free (MRF < 1) but the
