@@ -14,7 +14,7 @@ use av_prediction::predictor::TrajectoryPredictor;
 use serde::{Deserialize, Serialize};
 use zhuyi::aggregate::{aggregate_latencies, Aggregation};
 use zhuyi::camera_fpr::{per_camera_fpr, ActorEstimate, CameraEstimate};
-use zhuyi::config::ConfigError;
+use zhuyi::config::{validate_duration, ConfigError};
 use zhuyi::estimator::{EgoKinematics, SearchOutcome, TolerableLatencyEstimator};
 use zhuyi::future::{ActorFuture, TrajectoryFuture};
 use zhuyi::ZhuyiConfig;
@@ -26,7 +26,8 @@ pub struct OnlineConfig {
     pub zhuyi: ZhuyiConfig,
     /// Eq. 4 aggregation across predicted trajectories.
     pub aggregation: Aggregation,
-    /// How far ahead the predictor is asked to roll trajectories.
+    /// How far ahead the predictor is asked to roll trajectories. Must be
+    /// positive and finite.
     pub prediction_horizon: Seconds,
 }
 
@@ -71,8 +72,10 @@ impl OnlineEstimator {
     ///
     /// # Errors
     ///
-    /// Returns the first violated configuration invariant.
+    /// Returns the first violated configuration invariant, including a
+    /// prediction horizon that is not positive and finite.
     pub fn new(config: OnlineConfig) -> Result<Self, ConfigError> {
+        validate_duration("prediction_horizon", config.prediction_horizon)?;
         config
             .aggregation
             .validate()
@@ -124,7 +127,7 @@ impl OnlineEstimator {
             let mut all_unconstrained = true;
             for traj in futures {
                 let future = TrajectoryFuture::new(
-                    path.clone(),
+                    path,
                     &perceived.ego.state,
                     perceived.ego.dims,
                     actor.dims,
@@ -274,5 +277,25 @@ mod tests {
             ..Default::default()
         };
         assert!(OnlineEstimator::new(cfg).is_err());
+    }
+
+    #[test]
+    fn non_positive_or_non_finite_horizon_rejected() {
+        for horizon in [0.0, -0.1, f64::NAN, f64::INFINITY] {
+            let cfg = OnlineConfig {
+                prediction_horizon: Seconds(horizon),
+                ..Default::default()
+            };
+            assert!(
+                matches!(
+                    OnlineEstimator::new(cfg),
+                    Err(ConfigError::NonPositiveDuration {
+                        name: "prediction_horizon",
+                        ..
+                    })
+                ),
+                "horizon {horizon} accepted"
+            );
+        }
     }
 }

@@ -16,7 +16,7 @@ use av_sim::engine::{Simulation, StepOutcome};
 use av_sim::observer::TraceRecorder;
 use av_sim::trace::Trace;
 use serde::{Deserialize, Serialize};
-use zhuyi::config::ConfigError;
+use zhuyi::config::{validate_duration, ConfigError};
 
 /// Configuration of the runtime loop.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -24,7 +24,8 @@ pub struct RuntimeConfig {
     /// Online estimator parameters.
     pub online: OnlineConfig,
     /// How often the Zhuyi model runs (the paper estimates it completes
-    /// within 2 ms, so 100 ms control periods are generous).
+    /// within 2 ms, so 100 ms control periods are generous). Must be
+    /// positive and finite.
     pub control_period: Seconds,
     /// Frame budget for work prioritization; `None` runs the safety check
     /// only.
@@ -70,8 +71,10 @@ impl ZhuyiRuntime {
     ///
     /// # Errors
     ///
-    /// Returns the first violated model-configuration invariant.
+    /// Returns the first violated model-configuration invariant, including
+    /// a control period that is not positive and finite.
     pub fn new(config: RuntimeConfig) -> Result<Self, ConfigError> {
+        validate_duration("control_period", config.control_period)?;
         Ok(Self {
             online: OnlineEstimator::new(config.online)?,
             config,
@@ -97,7 +100,6 @@ impl ZhuyiRuntime {
         let ego = sim.ego().to_agent(sim.road());
         let tracked = sim.perception().world().coasted_agents(now);
         let perceived = Scene::new(now, ego, tracked);
-        let path = sim.road().path().clone();
         let rates = sim.perception().rates();
         let current_latency = rates
             .iter()
@@ -106,7 +108,7 @@ impl ZhuyiRuntime {
 
         let estimates = self.online.estimate(
             &perceived,
-            &path,
+            sim.road().path(),
             sim.perception().rig(),
             predictor,
             current_latency,
@@ -143,7 +145,7 @@ pub fn drive(
 ) -> (Trace, Vec<RuntimeDecision>) {
     let mut decisions = Vec::new();
     let mut recorder = TraceRecorder::new(sim.config().dt);
-    let period = runtime.config().control_period.value().max(1e-3);
+    let period = runtime.config().control_period.value();
     let mut next_control = 0.0;
     loop {
         if sim.time().value() + 1e-12 >= next_control {
@@ -215,6 +217,26 @@ mod tests {
                 ..Default::default()
             },
         )
+    }
+
+    #[test]
+    fn non_positive_or_non_finite_control_period_rejected() {
+        for period in [0.0, -0.1, f64::NAN, f64::INFINITY] {
+            let config = RuntimeConfig {
+                control_period: Seconds(period),
+                ..Default::default()
+            };
+            assert!(
+                matches!(
+                    ZhuyiRuntime::new(config),
+                    Err(ConfigError::NonPositiveDuration {
+                        name: "control_period",
+                        ..
+                    })
+                ),
+                "control period {period} accepted"
+            );
+        }
     }
 
     #[test]

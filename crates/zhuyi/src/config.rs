@@ -94,6 +94,20 @@ impl fmt::Display for ConfigError {
 
 impl std::error::Error for ConfigError {}
 
+/// Checks that the duration field `name` is positive and finite.
+///
+/// # Errors
+///
+/// Returns [`ConfigError::NonPositiveDuration`] for zero, negative and
+/// non-finite values (NaN included).
+pub fn validate_duration(name: &'static str, value: Seconds) -> Result<(), ConfigError> {
+    if value.value() > 0.0 && value.is_finite() {
+        Ok(())
+    } else {
+        Err(ConfigError::NonPositiveDuration { name, value })
+    }
+}
+
 /// All knobs of the Zhuyi model.
 ///
 /// [`ZhuyiConfig::paper`] reproduces §4.1 exactly: C1 = C2 = 0.9,
@@ -195,9 +209,7 @@ impl ZhuyiConfig {
             ("naive_timestep", self.naive_timestep),
             ("horizon", self.horizon),
         ] {
-            if !(value.value() > 0.0 && value.is_finite()) {
-                return Err(ConfigError::NonPositiveDuration { name, value });
-            }
+            validate_duration(name, value)?;
         }
         if self.min_latency > self.max_latency {
             return Err(ConfigError::InvertedLatencyRange {

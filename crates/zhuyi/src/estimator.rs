@@ -62,8 +62,11 @@ pub enum SearchOutcome {
 pub struct SearchStats {
     /// Candidate latencies visited by the outer loop (≤ L).
     pub latency_steps: u32,
-    /// Constraint evaluations performed (inner iterations across all
-    /// candidate latencies, including threat scans).
+    /// Constraint checks performed: threat-scan instants, pre-reaction
+    /// guard instants and inner-loop iterations, across all candidate
+    /// latencies. This is the compute basis of the paper's §4.2
+    /// analysis, not a count of [`ActorFuture::at`] calls: the guard
+    /// checks reuse the gaps the threat scan already queried.
     pub constraint_evaluations: u64,
 }
 
@@ -175,47 +178,56 @@ impl TolerableLatencyEstimator {
         future: &dyn ActorFuture,
         current_latency: Seconds,
     ) -> LatencyEstimate {
+        self.search(ego, future, current_latency).0
+    }
+
+    /// The search behind [`Self::tolerable_latency`] and
+    /// [`Self::explain`]: one threat scan, then the outer loop over
+    /// candidate latencies. Returns the estimate and, for a
+    /// [`SearchOutcome::Tolerable`] one, the inner solution that accepted
+    /// it.
+    pub(crate) fn search(
+        &self,
+        ego: EgoKinematics,
+        future: &dyn ActorFuture,
+        current_latency: Seconds,
+    ) -> (LatencyEstimate, Option<InnerSolution>) {
         let cfg = &self.config;
         let mut stats = SearchStats::default();
 
-        let intervals = self.frontal_intervals(ego, future, &mut stats);
-        if intervals.is_empty() {
-            return LatencyEstimate {
+        let scan = self.threat_scan(ego, future, &mut stats);
+        if scan.intervals.is_empty() {
+            let estimate = LatencyEstimate {
                 latency: cfg.max_latency,
                 outcome: SearchOutcome::Unconstrained,
                 stats,
             };
+            return (estimate, None);
         }
 
         let mut latency = cfg.max_latency;
         let eps = 1e-9;
         while latency.value() >= cfg.min_latency.value() - eps {
             stats.latency_steps += 1;
-            if self
-                .try_latency(
-                    latency,
-                    ego,
-                    future,
-                    current_latency,
-                    &intervals,
-                    &mut stats,
-                )
-                .is_some()
-            {
-                return LatencyEstimate {
+            let solution =
+                self.try_latency(latency, ego, future, current_latency, &scan, &mut stats);
+            if solution.is_some() {
+                let estimate = LatencyEstimate {
                     latency,
                     outcome: SearchOutcome::Tolerable,
                     stats,
                 };
+                return (estimate, solution);
             }
             latency -= cfg.latency_step;
         }
 
-        LatencyEstimate {
+        let estimate = LatencyEstimate {
             latency: cfg.min_latency,
             outcome: SearchOutcome::Infeasible,
             stats,
-        }
+        };
+        (estimate, None)
     }
 
     /// Convenience wrapper: tolerable latency for a stationary in-lane
@@ -239,48 +251,29 @@ impl TolerableLatencyEstimator {
         crate::ActorEstimate::new(actor.id, est)
     }
 
-    /// Crate-internal re-entry points for [`crate::explain`].
-    pub(crate) fn frontal_intervals_for_explain(
-        &self,
-        ego: EgoKinematics,
-        future: &dyn ActorFuture,
-        stats: &mut SearchStats,
-    ) -> Vec<(f64, f64)> {
-        self.frontal_intervals(ego, future, stats)
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn try_latency_for_explain(
-        &self,
-        l: Seconds,
-        ego: EgoKinematics,
-        future: &dyn ActorFuture,
-        l0: Seconds,
-        intervals: &[(f64, f64)],
-        stats: &mut SearchStats,
-    ) -> Option<InnerSolution> {
-        self.try_latency(l, ego, future, l0, intervals, stats)
-    }
-
-    /// Scans the future for the maximal time intervals in which the actor
-    /// is a *frontal threat*: inside the ego's corridor, ahead of the
-    /// ego's t₀ position, and — at the instant the interval opens — still
-    /// ahead of where the unreacting ego would be. The last condition
-    /// excludes actors approaching from behind (the ego cannot resolve a
-    /// rear approach by braking; the paper's model addresses frontal
+    /// Scans the future at every `naive_timestep` instant of the horizon
+    /// for the maximal time intervals in which the actor is a *frontal
+    /// threat*: inside the ego's corridor, ahead of the ego's t₀
+    /// position, and — at the instant the interval opens — still ahead of
+    /// where the unreacting ego would be. The last condition excludes
+    /// actors approaching from behind (the ego cannot resolve a rear
+    /// approach by braking; the paper's model addresses frontal
     /// obstacles).
-    fn frontal_intervals(
+    ///
+    /// This is the only pass that queries the future at scan instants:
+    /// it records the gap at each one for the pre-reaction guard.
+    fn threat_scan(
         &self,
         ego: EgoKinematics,
         future: &dyn ActorFuture,
         stats: &mut SearchStats,
-    ) -> Vec<(f64, f64)> {
+    ) -> ThreatScan {
         let cfg = &self.config;
         let v_e0 = ego.speed.max(MetersPerSecond::ZERO);
         let dt = cfg.naive_timestep.value();
         let end = cfg.horizon.value();
-        let mut intervals: Vec<(f64, f64)> = Vec::new();
-        let mut open: Option<(f64, bool)> = None; // (start, frontal)
+        let mut scan = ThreatScan::default();
+        let mut open: Option<(f64, usize, bool)> = None; // (start, first, frontal)
         let mut t = 0.0;
         while t <= end + 1e-12 {
             stats.constraint_evaluations += 1;
@@ -290,22 +283,33 @@ impl TolerableLatencyEstimator {
                 (true, None) => {
                     let (d_unreacted, _) = distance_speed_after(v_e0, ego.accel, Seconds(t));
                     let frontal = s.gap.value() >= d_unreacted.value() - 1e-9;
-                    open = Some((t, frontal));
+                    open = Some((t, scan.gaps.len(), frontal));
                 }
-                (false, Some((start, frontal))) => {
+                (false, Some((start, first, frontal))) => {
                     if frontal {
-                        intervals.push((start, t - dt));
+                        scan.intervals.push(FrontalInterval {
+                            start,
+                            stop: t - dt,
+                            first,
+                        });
                     }
                     open = None;
                 }
                 _ => {}
             }
+            if let Some((_, _, true)) = open {
+                scan.gaps.push(s.gap.value());
+            }
             t += dt;
         }
-        if let Some((start, true)) = open {
-            intervals.push((start, end));
+        if let Some((start, first, true)) = open {
+            scan.intervals.push(FrontalInterval {
+                start,
+                stop: end,
+                first,
+            });
         }
-        intervals
+        scan
     }
 
     /// Checks whether candidate latency `l` is safe: there exists a
@@ -319,7 +323,7 @@ impl TolerableLatencyEstimator {
         ego: EgoKinematics,
         future: &dyn ActorFuture,
         l0: Seconds,
-        intervals: &[(f64, f64)],
+        scan: &ThreatScan,
         stats: &mut SearchStats,
     ) -> Option<InnerSolution> {
         let cfg = &self.config;
@@ -335,19 +339,22 @@ impl TolerableLatencyEstimator {
 
         // Pre-reaction guard: while the ego has not yet reacted it travels
         // at unchanged acceleration; it must not out-run the available
-        // distance at any threatened instant t < t_r.
+        // distance at any threatened instant t < t_r. Each instant is a
+        // scan instant: `t` accumulates from the interval's start exactly
+        // as the scan's clock did, so `gaps[k]` is the gap at `t`.
         let guard_end = t_r.value().min(cfg.horizon.value());
         let dt = cfg.naive_timestep.value();
-        for &(start, stop) in intervals {
-            let mut t = start;
-            while t < guard_end.min(stop) - 1e-12 {
+        for interval in &scan.intervals {
+            let mut t = interval.start;
+            let mut k = interval.first;
+            while t < guard_end.min(interval.stop) - 1e-12 {
                 stats.constraint_evaluations += 1;
-                let s = future.at(Seconds(t));
                 let (d, _) = distance_speed_after(v_e0, a0, Seconds(t));
-                if d.value() > cfg.c1 * s.gap.value() {
+                if d.value() > cfg.c1 * scan.gaps[k] {
                     return None;
                 }
                 t += dt;
+                k += 1;
             }
         }
 
@@ -382,7 +389,7 @@ impl TolerableLatencyEstimator {
         for iter in 0..=budget {
             // A collision is only possible while the actor is a frontal
             // threat; skip to the next threatened time.
-            let Some(t_eval) = next_threat_time(intervals, t_n.value()) else {
+            let Some(t_eval) = next_threat_time(&scan.intervals, t_n.value()) else {
                 // The actor stops being a frontal threat before the
                 // maneuver needed to conclude: safe as-is.
                 return Some(InnerSolution {
@@ -480,12 +487,34 @@ impl TolerableLatencyEstimator {
     }
 }
 
+/// What the threat scan learned about one future.
+#[derive(Debug, Default)]
+struct ThreatScan {
+    /// The frontal-threat intervals, sorted and disjoint.
+    intervals: Vec<FrontalInterval>,
+    /// The gap `s_n` at every scan instant inside a frontal interval, in
+    /// scan order.
+    gaps: Vec<f64>,
+}
+
+/// A maximal run of scan instants in which the actor is a frontal threat.
+#[derive(Debug)]
+struct FrontalInterval {
+    /// The scan instant that opened the interval.
+    start: f64,
+    /// The end of the interval: one timestep before the instant that
+    /// closed it, or the horizon.
+    stop: f64,
+    /// Index of `start` in [`ThreatScan::gaps`].
+    first: usize,
+}
+
 /// First time ≥ `from` that lies inside one of the (sorted, disjoint)
 /// frontal-threat intervals.
-fn next_threat_time(intervals: &[(f64, f64)], from: f64) -> Option<f64> {
-    for &(start, stop) in intervals {
-        if from <= stop + 1e-12 {
-            return Some(from.max(start));
+fn next_threat_time(intervals: &[FrontalInterval], from: f64) -> Option<f64> {
+    for interval in intervals {
+        if from <= interval.stop + 1e-12 {
+            return Some(from.max(interval.start));
         }
     }
     None
@@ -722,6 +751,68 @@ mod tests {
         let mut cfg = ZhuyiConfig::paper();
         cfg.c1 = -1.0;
         assert!(TolerableLatencyEstimator::new(cfg).is_err());
+    }
+
+    /// Logs the instant of every `at` call on the wrapped future.
+    struct Logged<F> {
+        inner: F,
+        calls: std::cell::RefCell<Vec<f64>>,
+    }
+
+    impl<F: ActorFuture> ActorFuture for Logged<F> {
+        fn at(&self, tn: Seconds) -> RelativeState {
+            self.calls.borrow_mut().push(tn.value());
+            self.inner.at(tn)
+        }
+
+        fn horizon(&self) -> Seconds {
+            self.inner.horizon()
+        }
+    }
+
+    #[test]
+    fn future_is_queried_once_per_scan_instant_and_inner_check() {
+        let e = estimator();
+        let cfg = *e.config();
+        let future = Logged {
+            inner: StationaryActor::new(Meters(60.0)),
+            calls: Default::default(),
+        };
+        let est = e.tolerable_latency(ego(20.0, 0.0), &future, L0);
+        assert_eq!(est.outcome, SearchOutcome::Tolerable);
+        assert!(est.latency < cfg.max_latency, "the case must constrain");
+        let calls = future.calls.take();
+
+        // The threat scan queries each instant of the horizon once, in
+        // order.
+        let mut scan = Vec::new();
+        let mut t = 0.0;
+        while t <= cfg.horizon.value() + 1e-12 {
+            scan.push(t);
+            t += cfg.naive_timestep.value();
+        }
+        assert_eq!(calls[..scan.len()], scan[..]);
+
+        // Every later query is an inner-loop check, made no earlier than
+        // the accepted latency's reaction time (the smallest of all
+        // visited candidates). The pre-reaction guard, which checks from
+        // t = 0, queries nothing.
+        let t_r = e
+            .explain(ego(20.0, 0.0), &StationaryActor::new(Meters(60.0)), L0)
+            .solution
+            .expect("tolerable")
+            .reaction_time
+            .value();
+        let inner = &calls[scan.len()..];
+        assert!(!inner.is_empty());
+        let early = inner.iter().find(|&&t| t < t_r);
+        assert_eq!(early, None, "queried before the reaction time {t_r}");
+
+        // `at` calls = scan instants + inner-loop checks, fewer than the
+        // constraint checks, which still count the guard's.
+        let checks = est.stats.constraint_evaluations;
+        assert_eq!(calls.len(), scan.len() + inner.len());
+        assert!((calls.len() as u64) < checks, "{} vs {checks}", calls.len());
     }
 
     #[test]

@@ -7,8 +7,7 @@
 //! instant — so a reviewer can recompute Eqs. 1 and 2 by hand.
 
 use crate::estimator::{
-    EgoKinematics, InnerSolution, LatencyEstimate, SearchOutcome, SearchStats,
-    TolerableLatencyEstimator,
+    EgoKinematics, InnerSolution, LatencyEstimate, SearchOutcome, TolerableLatencyEstimator,
 };
 use crate::future::ActorFuture;
 use av_core::prelude::*;
@@ -78,7 +77,8 @@ impl TolerableLatencyEstimator {
     /// Like [`TolerableLatencyEstimator::tolerable_latency`], but also
     /// returns the verified inner solution for tolerable outcomes.
     ///
-    /// Costs one extra satisfiability check at the accepted latency.
+    /// Runs the same single search and keeps the solution that accepted
+    /// the latency, so it costs no more than the plain estimate.
     ///
     /// ```
     /// use av_core::prelude::*;
@@ -103,22 +103,7 @@ impl TolerableLatencyEstimator {
         future: &dyn ActorFuture,
         current_latency: Seconds,
     ) -> Explanation {
-        let estimate = self.tolerable_latency(ego, future, current_latency);
-        let solution = match estimate.outcome {
-            SearchOutcome::Tolerable => {
-                let mut scratch = SearchStats::default();
-                let intervals = self.frontal_intervals_for_explain(ego, future, &mut scratch);
-                self.try_latency_for_explain(
-                    estimate.latency,
-                    ego,
-                    future,
-                    current_latency,
-                    &intervals,
-                    &mut scratch,
-                )
-            }
-            _ => None,
-        };
+        let (estimate, solution) = self.search(ego, future, current_latency);
         Explanation { estimate, solution }
     }
 }
@@ -170,8 +155,11 @@ mod tests {
         );
         let plain = e.tolerable_latency(ego(28.0), &future, L0);
         let exp = e.explain(ego(28.0), &future, L0);
-        assert_eq!(plain.latency, exp.estimate.latency);
-        assert_eq!(plain.outcome, exp.estimate.outcome);
+        assert_eq!(plain.outcome, SearchOutcome::Tolerable);
+        assert!(exp.solution.is_some());
+        // The whole estimate, search effort included: explaining costs no
+        // extra constraint checks.
+        assert_eq!(plain, exp.estimate);
     }
 
     #[test]

@@ -15,6 +15,7 @@
 //! (post-deployment, §3.2) and the synthetic fixed-gap sweep of Fig. 8.
 
 use av_core::prelude::*;
+use std::cell::Cell;
 
 /// The actor's situation relative to the ego's path at one future instant.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -177,10 +178,18 @@ impl ActorFuture for ConstantAccelActor {
 /// ego's reference path. The available distance is measured bumper to
 /// bumper; corridor membership compares lateral offsets against the
 /// half-width sum plus a configurable margin.
+///
+/// The future borrows the path, so every future of one estimation step
+/// shares it. It also keeps a [`ProjectionHint`]: the estimator queries
+/// instants 10 ms apart, so the last winning segment is almost always
+/// next to the answer. A hint only saves work; every answer is
+/// bit-identical to an un-hinted projection.
 #[derive(Debug, Clone)]
-pub struct TrajectoryFuture {
-    path: Path,
+pub struct TrajectoryFuture<'a> {
+    path: &'a Path,
     trajectory: Trajectory,
+    /// The last query's segment, seeding the next query's projection.
+    hint: Cell<ProjectionHint>,
     /// Absolute time corresponding to relative offset zero.
     t0: Seconds,
     /// Ego arc-length position at t₀.
@@ -193,7 +202,7 @@ pub struct TrajectoryFuture {
     corridor_half_width: Meters,
 }
 
-impl TrajectoryFuture {
+impl<'a> TrajectoryFuture<'a> {
     /// Builds the future of `actor_dims`-sized actor following `trajectory`
     /// (absolute times), seen from an ego of `ego_dims` at `ego_state`, with
     /// `path` as the longitudinal reference.
@@ -202,7 +211,7 @@ impl TrajectoryFuture {
     /// lateral overlap (paper's conservatism; see
     /// [`crate::ZhuyiConfig::corridor_margin`]).
     pub fn new(
-        path: Path,
+        path: &'a Path,
         ego_state: &VehicleState,
         ego_dims: Dimensions,
         actor_dims: Dimensions,
@@ -214,6 +223,7 @@ impl TrajectoryFuture {
         Self {
             path,
             trajectory,
+            hint: Cell::default(),
             t0,
             ego_s0: ego_frenet.s,
             ego_d0: ego_frenet.d,
@@ -230,11 +240,13 @@ impl TrajectoryFuture {
     }
 }
 
-impl ActorFuture for TrajectoryFuture {
+impl ActorFuture for TrajectoryFuture<'_> {
     fn at(&self, tn: Seconds) -> RelativeState {
         let sample = self.trajectory.sample(self.t0 + tn);
-        let frenet = self.path.project(sample.position);
-        let tangent = self.path.pose_at(frenet.s).heading;
+        let mut hint = self.hint.get();
+        let frenet = self.path.project_with_hint(sample.position, &mut hint);
+        let tangent = self.path.frame_at_hinted(frenet.s, &mut hint).heading;
+        self.hint.set(hint);
         let along = sample.speed.value() * (sample.heading - tangent).normalized().cos();
         RelativeState {
             gap: frenet.s - self.ego_s0 - self.length_allowance,
@@ -257,8 +269,9 @@ mod tests {
     use super::*;
     use av_core::trajectory::TrajectoryPoint;
 
-    fn straight_path() -> Path {
-        Path::straight(Vec2::ZERO, Radians(0.0), Meters(2000.0))
+    fn straight_path() -> &'static Path {
+        static PATH: std::sync::OnceLock<Path> = std::sync::OnceLock::new();
+        PATH.get_or_init(|| Path::straight(Vec2::ZERO, Radians(0.0), Meters(2000.0)))
     }
 
     fn ego_at(x: f64) -> VehicleState {
@@ -287,7 +300,7 @@ mod tests {
         Trajectory::new(points, 1.0).expect("valid trajectory")
     }
 
-    fn future(t: Trajectory) -> TrajectoryFuture {
+    fn future(t: Trajectory) -> TrajectoryFuture<'static> {
         TrajectoryFuture::new(
             straight_path(),
             &ego_at(0.0),
@@ -376,6 +389,58 @@ mod tests {
             assert_eq!(s.speed_along, MetersPerSecond(5.0));
         }
         assert_eq!(a.probability(), 1.0);
+    }
+
+    #[test]
+    fn hinted_queries_match_fresh_futures_on_an_arc() {
+        // The curved cut-in's road: a 751-vertex arc.
+        let path = Path::arc(
+            Vec2::ZERO,
+            Radians(0.0),
+            Meters(400.0),
+            Meters(1500.0),
+            Meters(2.0),
+        );
+        let points = (0..=80)
+            .map(|i| {
+                let t = i as f64 * 0.1;
+                let s = Meters(50.0 + 25.0 * t);
+                TrajectoryPoint {
+                    time: Seconds(t),
+                    position: path.frenet_to_world(FrenetPose::new(s, Meters(1.0))),
+                    heading: path.pose_at(s).heading,
+                    speed: MetersPerSecond(25.0),
+                    accel: MetersPerSecondSquared::ZERO,
+                }
+            })
+            .collect();
+        let trajectory = Trajectory::new(points, 1.0).expect("valid trajectory");
+        let make = || {
+            TrajectoryFuture::new(
+                &path,
+                &ego_at(0.0),
+                Dimensions::CAR,
+                Dimensions::CAR,
+                trajectory.clone(),
+                Seconds(0.0),
+                Meters(0.3),
+            )
+        };
+        let bits = |s: RelativeState| {
+            (
+                s.gap.value().to_bits(),
+                s.speed_along.value().to_bits(),
+                s.in_corridor,
+            )
+        };
+        // One future carries its hint through a 10 ms scan and then jumps
+        // back and forth; a fresh future answers every query un-hinted.
+        let hinted = make();
+        let jumps = [0.5, 11.0, 0.0, 6.3, 12.0, 3.33];
+        for t in (0..=1200).map(|k| k as f64 * 0.01).chain(jumps) {
+            let tn = Seconds(t);
+            assert_eq!(bits(hinted.at(tn)), bits(make().at(tn)), "t = {t}");
+        }
     }
 
     #[test]

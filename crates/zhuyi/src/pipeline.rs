@@ -187,7 +187,7 @@ pub fn analyze_step(
             continue;
         };
         let future = TrajectoryFuture::new(
-            path.clone(),
+            path,
             &scene.ego.state,
             scene.ego.dims,
             actor.dims,
