@@ -173,46 +173,6 @@ impl<'a> SweepContext<'a> {
     }
 }
 
-/// [`SweepContext::collides_batched_with_stats`] across **several
-/// scenario instances at once** — the seed axis of a minimum-safe-FPR
-/// sweep, batched: every context contributes one lane group (one lane
-/// per rate, each group over its own jittered geometry), and all groups
-/// advance through one lockstep loop
-/// ([`av_sim::seed_batch::run_seed_batched_verdicts_with_stats`]).
-/// `verdicts[g][k]` is the collision verdict of `contexts[g]` at
-/// `rates[k]`, bit-identical to probing that context alone — pinned by
-/// this module's tests and the cross-path equivalence harness at the
-/// workspace root.
-///
-/// # Panics
-///
-/// Panics if any rate is invalid (non-positive or non-finite).
-pub fn collides_seed_batched_with_stats(
-    contexts: &mut [SweepContext<'_>],
-    rates: &[Fpr],
-) -> (Vec<Vec<bool>>, BatchStats) {
-    let specs: Vec<Vec<LaneSpec>> = contexts
-        .iter()
-        .map(|context| rates.iter().map(|&fpr| context.lane_spec(fpr)).collect())
-        .collect();
-    let (outcomes, stats) = av_sim::seed_batch::run_seed_batched_verdicts_with_stats(
-        contexts.iter_mut().map(|context| &mut context.sim),
-        specs,
-    );
-    (
-        outcomes
-            .into_iter()
-            .map(|group| {
-                group
-                    .into_iter()
-                    .map(|outcome| outcome == StepOutcome::Collided)
-                    .collect()
-            })
-            .collect(),
-        stats,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -257,40 +217,6 @@ mod tests {
                     batched[k],
                     context.collides_at(Fpr(*fpr)),
                     "{id} seed {seed} diverged at {fpr} FPR"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn seed_batched_verdicts_match_per_rate_probes() {
-        // Mixed geometry in one lockstep loop: straight and curved
-        // instances, different seeds, all through one seed×rate batch —
-        // every verdict must match the one-rate-at-a-time probe on a
-        // fresh context.
-        let grid = [1.0, 2.0, 6.0, 30.0].map(Fpr);
-        let scenarios: Vec<Scenario> = [
-            (ScenarioId::CutOut, 0),
-            (ScenarioId::CutOut, 4),
-            (ScenarioId::ChallengingCutInCurved, 6),
-            (ScenarioId::VehicleFollowing, 2),
-        ]
-        .into_iter()
-        .map(|(id, seed)| Scenario::build(id, seed))
-        .collect();
-        let mut contexts: Vec<SweepContext> = scenarios.iter().map(SweepContext::new).collect();
-        let (verdicts, stats) = collides_seed_batched_with_stats(&mut contexts, &grid);
-        assert!(stats.lane_ticks > 0);
-        for (g, scenario) in scenarios.iter().enumerate() {
-            let mut fresh = SweepContext::new(scenario);
-            for (k, &fpr) in grid.iter().enumerate() {
-                assert_eq!(
-                    verdicts[g][k],
-                    fresh.collides_at(fpr),
-                    "{} seed {} diverged at {} FPR",
-                    scenario.name,
-                    scenario.seed,
-                    fpr.value()
                 );
             }
         }

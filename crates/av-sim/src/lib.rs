@@ -50,7 +50,6 @@ pub mod observer;
 pub mod policy;
 pub mod road;
 pub mod script;
-pub mod seed_batch;
 pub mod trace;
 
 /// Glob import of the crate's main types.
@@ -66,6 +65,5 @@ pub mod prelude {
     pub use crate::script::{
         Action, ActorScript, EgoObservation, Placement, ScriptedActor, ScriptedManeuver, Trigger,
     };
-    pub use crate::seed_batch::{run_seed_batched_verdicts_with_stats, SeedBatchSim};
     pub use crate::trace::{SimEvent, Trace};
 }

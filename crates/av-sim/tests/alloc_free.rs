@@ -6,8 +6,8 @@
 //!
 //! This lives in its own integration-test binary because the counting
 //! allocator is process-global; the counter itself is thread-local, so
-//! the two tests here (engine ticks, batched lockstep ticks) measure
-//! only their own thread.
+//! the tests here (engine ticks, batched lockstep ticks) measure only
+//! their own thread.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -226,16 +226,8 @@ fn warm_batched_lockstep_ticks_are_allocation_free() {
     // descriptions are the one documented per-run allocation), with the
     // far obstacle keeping every retirement certificate *declining* —
     // the decline path runs every backoff interval and must not allocate
-    // either.
-    let road = Road::straight_three_lane(Meters(3000.0));
-    let ego = || {
-        EgoVehicle::spawn(
-            &road,
-            LaneId(1),
-            Meters(50.0),
-            PolicyConfig::cruise(MetersPerSecond(20.0)),
-        )
-    };
+    // either. Both geometries: the straight road exercises the
+    // Frenet-prefilter idle path, the curved one the world-frame path.
     let perception = |fpr: f64| {
         PerceptionSystem::new(
             CameraRig::drive_av(),
@@ -244,156 +236,65 @@ fn warm_batched_lockstep_ticks_are_allocation_free() {
         )
         .expect("valid plan")
     };
-    let mut sim = Simulation::new(
-        road.clone(),
-        ego(),
-        vec![
-            ActorScript::obstacle(ActorId(1), LaneId(1), Meters(2500.0)),
-            ActorScript::cruising(
-                ActorId(2),
-                av_sim::script::Placement {
-                    lane: LaneId(0),
-                    s: Meters(80.0),
-                    speed: MetersPerSecond(20.0),
-                },
-            ),
-        ],
-        perception(30.0),
-        SimulationConfig {
-            duration: Seconds(20.0),
-            ..Default::default()
-        },
-    );
-    let specs: Vec<LaneSpec> = [2.0, 8.0, 30.0]
-        .iter()
-        .map(|&fpr| LaneSpec {
-            ego: ego(),
-            perception: perception(fpr),
-        })
-        .collect();
-    let mut nulls = vec![NullObserver; specs.len()];
-    let observers: Vec<&mut dyn SimObserver> = nulls
-        .iter_mut()
-        .map(|n| n as &mut dyn SimObserver)
-        .collect();
-    let mut batch = sim.batched_verdicts(specs, observers);
-    for _ in 0..300 {
-        assert!(batch.step_all(), "warm-up must not end the batch");
-    }
-    assert_eq!(batch.live_lanes(), 3, "no lane may retire in this setup");
-    let before = allocations();
-    for _ in 0..1000 {
-        assert!(batch.step_all());
-    }
-    let after = allocations();
-    assert_eq!(
-        after - before,
-        0,
-        "{} allocations across 1000 warm batched ticks x 3 lanes",
-        after - before
-    );
-}
-
-#[test]
-fn warm_seed_batched_lockstep_ticks_are_allocation_free() {
-    use av_core::prelude::*;
-    use av_perception::rig::CameraRig;
-    use av_perception::system::{PerceptionSystem, RatePlan};
-    use av_perception::world_model::TrackerConfig;
-    use av_sim::batch::LaneSpec;
-    use av_sim::engine::{Simulation, SimulationConfig};
-    use av_sim::observer::{NullObserver, SimObserver};
-    use av_sim::policy::{EgoVehicle, PolicyConfig};
-    use av_sim::road::{LaneId, Road};
-    use av_sim::script::ActorScript;
-    use av_sim::seed_batch::SeedBatchSim;
-
-    // Two groups with *different* road geometry — one straight, one
-    // curved — sharing a single lockstep loop, three rate lanes each.
-    // The straight group exercises the Frenet-prefilter idle path, the
-    // curved group the lean world-frame path; both must stay warm
-    // allocation-free, declines and all, for the seed-batched sweep's
-    // throughput claim to hold over mixed-geometry seed blocks.
-    let roads = [
+    for road in [
         Road::straight_three_lane(Meters(3000.0)),
         Road::curved_three_lane(Meters(400.0), Meters(3000.0)),
-    ];
-    let ego = |road: &Road| {
-        EgoVehicle::spawn(
-            road,
-            LaneId(1),
-            Meters(50.0),
-            PolicyConfig::cruise(MetersPerSecond(20.0)),
-        )
-    };
-    let perception = |fpr: f64| {
-        PerceptionSystem::new(
-            CameraRig::drive_av(),
-            RatePlan::Uniform(Fpr(fpr)),
-            TrackerConfig::default(),
-        )
-        .expect("valid plan")
-    };
-    let mut sims: Vec<Simulation> = roads
-        .iter()
-        .map(|road| {
-            Simulation::new(
-                road.clone(),
-                ego(road),
-                vec![
-                    ActorScript::obstacle(ActorId(1), LaneId(1), Meters(2500.0)),
-                    ActorScript::cruising(
-                        ActorId(2),
-                        av_sim::script::Placement {
-                            lane: LaneId(0),
-                            s: Meters(80.0),
-                            speed: MetersPerSecond(20.0),
-                        },
-                    ),
-                ],
-                perception(30.0),
-                SimulationConfig {
-                    duration: Seconds(20.0),
-                    ..Default::default()
-                },
+    ] {
+        let ego = || {
+            EgoVehicle::spawn(
+                &road,
+                LaneId(1),
+                Meters(50.0),
+                PolicyConfig::cruise(MetersPerSecond(20.0)),
             )
-        })
-        .collect();
-    let mut nulls = [NullObserver; 6];
-    let mut null_slots = nulls.iter_mut();
-    let groups: Vec<_> = sims
-        .iter_mut()
-        .map(|sim| {
-            let road = sim.road().clone();
-            let specs: Vec<LaneSpec> = [2.0, 8.0, 30.0]
-                .iter()
-                .map(|&fpr| LaneSpec {
-                    ego: ego(&road),
-                    perception: perception(fpr),
-                })
-                .collect();
-            let observers: Vec<&mut dyn SimObserver> = null_slots
-                .by_ref()
-                .take(specs.len())
-                .map(|n| n as &mut dyn SimObserver)
-                .collect();
-            sim.batched_verdicts(specs, observers)
-        })
-        .collect();
-    let mut batch = SeedBatchSim::new(groups);
-    for _ in 0..300 {
-        assert!(batch.step_all(), "warm-up must not end the batch");
+        };
+        let mut sim = Simulation::new(
+            road.clone(),
+            ego(),
+            vec![
+                ActorScript::obstacle(ActorId(1), LaneId(1), Meters(2500.0)),
+                ActorScript::cruising(
+                    ActorId(2),
+                    av_sim::script::Placement {
+                        lane: LaneId(0),
+                        s: Meters(80.0),
+                        speed: MetersPerSecond(20.0),
+                    },
+                ),
+            ],
+            perception(30.0),
+            SimulationConfig {
+                duration: Seconds(20.0),
+                ..Default::default()
+            },
+        );
+        let specs: Vec<LaneSpec> = [2.0, 8.0, 30.0]
+            .iter()
+            .map(|&fpr| LaneSpec {
+                ego: ego(),
+                perception: perception(fpr),
+            })
+            .collect();
+        let mut nulls = vec![NullObserver; specs.len()];
+        let observers: Vec<&mut dyn SimObserver> = nulls
+            .iter_mut()
+            .map(|n| n as &mut dyn SimObserver)
+            .collect();
+        let mut batch = sim.batched_verdicts(specs, observers);
+        for _ in 0..300 {
+            assert!(batch.step_all(), "warm-up must not end the batch");
+        }
+        assert_eq!(batch.live_lanes(), 3, "no lane may retire in this setup");
+        let before = allocations();
+        for _ in 0..1000 {
+            assert!(batch.step_all());
+        }
+        let after = allocations();
+        assert_eq!(
+            after - before,
+            0,
+            "{} allocations across 1000 warm batched ticks x 3 lanes",
+            after - before
+        );
     }
-    assert_eq!(batch.live_lanes(), 6, "no lane may retire in this setup");
-    let before = allocations();
-    for _ in 0..1000 {
-        assert!(batch.step_all());
-    }
-    let after = allocations();
-    assert_eq!(
-        after - before,
-        0,
-        "{} allocations across 1000 warm seed-batched ticks x 2 groups x 3 lanes",
-        after - before
-    );
 }

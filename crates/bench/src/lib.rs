@@ -12,7 +12,7 @@ pub mod figures;
 
 use std::fs;
 use std::io::Write as _;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 /// A simple aligned ASCII table printer.
 #[derive(Debug, Default, Clone)]
@@ -92,15 +92,12 @@ impl Table {
     }
 }
 
-/// The directory experiment binaries write their CSVs into
-/// (`<workspace>/results`).
+/// The directory experiment binaries write their CSVs into: `results/`
+/// under the current working directory, so a binary writes into the
+/// checkout it is run from (the repo root, in every documented command),
+/// never into the one it happened to be built in.
 pub fn results_dir() -> PathBuf {
-    let root = Path::new(env!("CARGO_MANIFEST_DIR"))
-        .parent()
-        .and_then(Path::parent)
-        .expect("bench crate lives two levels under the workspace root")
-        .to_path_buf();
-    root.join("results")
+    PathBuf::from("results")
 }
 
 /// Writes `contents` under `results/<name>`, creating the directory.

@@ -12,7 +12,7 @@
 //!               [--scenario-dir DIR] [--variants N] [--workers N] [--rates 1,2,...,30]
 //!               [--fpr F] [--plans all|0,2] [--predictor oracle|cv|ca]
 //!               [--stride N] [--csv NAME] [--json NAME] [--traces]
-//!               [--record-traces] [--batch-lanes N] [--seed-blocks N] [--baseline]
+//!               [--record-traces] [--per-rate] [--baseline]
 //!               [--dist] [--listen ADDR] [--checkpoint PATH] [--batch N]
 //!               [--connect ADDR] [--chaos-seed N] [--chaos-profile NAME]
 //!               [--max-job-failures K] [--verify-fraction F]
@@ -90,8 +90,7 @@ struct Args {
     json: Option<String>,
     traces: bool,
     record_traces: bool,
-    batch_lanes: usize,
-    seed_blocks: usize,
+    per_rate: bool,
     baseline: bool,
     dist: bool,
     listen: Option<String>,
@@ -152,8 +151,7 @@ impl Default for Args {
             json: None,
             traces: false,
             record_traces: false,
-            batch_lanes: 0,
-            seed_blocks: 0,
+            per_rate: false,
             baseline: false,
             dist: false,
             listen: None,
@@ -241,12 +239,7 @@ fn parse_args() -> Result<Args, String> {
             "--json" => args.json = Some(value("--json")?),
             "--traces" => args.traces = true,
             "--record-traces" => args.record_traces = true,
-            "--batch-lanes" => {
-                args.batch_lanes = dcli::parse_batch_lanes(&value("--batch-lanes")?)?
-            }
-            "--seed-blocks" => {
-                args.seed_blocks = dcli::parse_seed_blocks(&value("--seed-blocks")?)?
-            }
+            "--per-rate" => args.per_rate = true,
             "--baseline" => args.baseline = true,
             "--dist" => args.dist = true,
             "--listen" => args.listen = Some(dcli::parse_addr("--listen", &value("--listen")?)?),
@@ -354,8 +347,7 @@ fn parse_args() -> Result<Args, String> {
             "--predictor",
             "--stride",
             "--record-traces",
-            "--batch-lanes",
-            "--seed-blocks",
+            "--per-rate",
         ];
         if let Some(flag) = seen.iter().find(|f| plan_flags.contains(&f.as_str())) {
             return Err(format!(
@@ -378,8 +370,7 @@ fn parse_args() -> Result<Args, String> {
             "--predictor",
             "--stride",
             "--record-traces",
-            "--batch-lanes",
-            "--seed-blocks",
+            "--per-rate",
         ];
         if let Some(flag) = seen.iter().find(|f| plan_flags.contains(&f.as_str())) {
             return Err(format!(
@@ -389,15 +380,10 @@ fn parse_args() -> Result<Args, String> {
     }
     // Reject flags the selected mode would silently ignore — a dropped
     // `--rates` or `--fpr` quietly changes what safety question was asked.
-    if args.connect.is_none() && args.record_traces {
+    if args.record_traces && args.per_rate {
         // Trace-recording MSF probes always take the per-rate classic
-        // path; a --batch-lanes or --seed-blocks alongside would be
-        // silently ignored.
-        for flag in ["--batch-lanes", "--seed-blocks"] {
-            if seen.iter().any(|f| f == flag) {
-                return Err(format!("{flag} does not apply with --record-traces"));
-            }
-        }
+        // path; --per-rate alongside would be silently redundant.
+        return Err("--per-rate does not apply with --record-traces".to_string());
     }
     if args.connect.is_none() {
         let irrelevant: &[&str] = match args.mode {
@@ -407,17 +393,9 @@ fn parse_args() -> Result<Args, String> {
                 "--plans",
                 "--predictor",
                 "--stride",
-                "--batch-lanes",
-                "--seed-blocks",
+                "--per-rate",
             ],
-            Mode::PerCamera => &[
-                "--rates",
-                "--fpr",
-                "--predictor",
-                "--stride",
-                "--batch-lanes",
-                "--seed-blocks",
-            ],
+            Mode::PerCamera => &["--rates", "--fpr", "--predictor", "--stride", "--per-rate"],
             // Analyze jobs always record (the estimator consumes the
             // trace), so --record-traces would be a silent no-op there.
             Mode::Analyze => &[
@@ -425,8 +403,7 @@ fn parse_args() -> Result<Args, String> {
                 "--plans",
                 "--traces",
                 "--record-traces",
-                "--batch-lanes",
-                "--seed-blocks",
+                "--per-rate",
             ],
         };
         if let Some(flag) = seen.iter().find(|f| irrelevant.contains(&f.as_str())) {
@@ -501,7 +478,7 @@ fn usage() {
          \x20             [--scenario-dir DIR] [--variants N] [--workers N] [--rates 1,2,...,30]\n\
          \x20             [--fpr F] [--plans all|0,2] [--predictor oracle|cv|ca]\n\
          \x20             [--stride N] [--csv NAME] [--json NAME] [--traces]\n\
-         \x20             [--record-traces] [--batch-lanes N] [--seed-blocks N] [--baseline]\n\
+         \x20             [--record-traces] [--per-rate] [--baseline]\n\
          \x20             [--dist] [--listen ADDR] [--checkpoint PATH] [--batch N]\n\
          \x20             [--connect ADDR] [--chaos-seed N] [--chaos-profile NAME]\n\
          \x20             [--max-job-failures K] [--verify-fraction F] [--fail-after N]\n\
@@ -509,11 +486,9 @@ fn usage() {
          \x20             [--daemon --listen ADDR --journal PATH [--max-queue N] [--lease-secs N]]\n\
          \x20             [--submit ADDR [--drain] [--retry-max N] [--retry-base-ms N]]\n\n\
          MODES:\n\
-         \x20 msf      search each instance's minimum safe rate over --rates (default);\n\
-         \x20          --batch-lanes N sets the lockstep lanes per pass (0 = auto = the\n\
-         \x20          whole grid, 1 = the per-rate reference search; identical exports),\n\
-         \x20          --seed-blocks N groups up to N consecutive same-grid jobs into\n\
-         \x20          one seed-batched lockstep block (0/1 = per-job; identical exports)\n\
+         \x20 msf      search each instance's minimum safe rate over --rates (default),\n\
+         \x20          every candidate rate as a lane of one lockstep pass; --per-rate\n\
+         \x20          runs the per-rate reference search instead (identical exports)\n\
          \x20 probe    run each instance closed-loop at --fpr and record collisions\n\
          \x20 percam   probe each instance against the heterogeneous per-camera rate\n\
          \x20          plans selected by --plans (catalog presets, see below)\n\
@@ -563,9 +538,9 @@ fn usage() {
          Without --scenario-dir, scenario indexes follow Table-1 order\n\
          (0 = Cut-out ... 8 = Front & right 3).\n\
          Per-camera plan indexes follow catalog order (0 = front-heavy, 1 = side-heavy,\n\
-         2 = economy, 3 = rear-heavy). --csv/--json write into results/ via the bench\n\
-         harness. Distributed exports are byte-identical to single-process exports\n\
-         (worker count, shard shape, crashes and resumes never change the output)."
+         2 = economy, 3 = rear-heavy). --csv/--json write into results/ under the\n\
+         working directory. Distributed exports are byte-identical to single-process\n\
+         exports (worker count, shard shape, crashes and resumes never change the output)."
     );
 }
 
@@ -694,8 +669,7 @@ fn main() -> ExitCode {
 
     let options = ExecOptions {
         record_traces: args.record_traces,
-        batch_lanes: args.batch_lanes,
-        seed_blocks: args.seed_blocks,
+        per_rate: args.per_rate,
     };
     let start = Instant::now();
     let mut quarantine: Option<QuarantineManifest> = None;

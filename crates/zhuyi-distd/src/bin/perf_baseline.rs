@@ -12,7 +12,7 @@
 //!    executed by the fleet engine metrics-only vs. with
 //!    `ExecOptions::record_traces` forcing full traces;
 //! 3. **batched MSF sweep** (sims/sec): the same workload through the
-//!    lane-batched lockstep backend (`--batch-lanes 0`), measured
+//!    default lane-batched lockstep backend, measured
 //!    *interleaved* with the per-rate path — alternating A/B within each
 //!    repetition — so co-tenant load hits both sides equally; exports
 //!    are asserted byte-identical across backends;
@@ -327,13 +327,12 @@ fn main() -> ExitCode {
         .or_else(|| previous_streaming_sims_per_s(&args.out))
         .or(args.prev_remeasured_sims_per_s);
 
-    // Four sweep backends, measured interleaved (one rep of each per
+    // Three sweep backends, measured interleaved (one rep of each per
     // round) so machine noise lands on every side equally: the classic
-    // trace-recording path, the per-rate streaming path, the
-    // lane-batched lockstep path, and the seed×rate-batched path that
-    // advances whole seed blocks through one lockstep loop.
+    // trace-recording path, the per-rate streaming path, and the
+    // lane-batched lockstep path.
     let per_rate_options = ExecOptions {
-        batch_lanes: 1,
+        per_rate: true,
         ..ExecOptions::default()
     };
     let recorded_options = ExecOptions {
@@ -341,15 +340,9 @@ fn main() -> ExitCode {
         ..ExecOptions::default()
     };
     let batched_options = ExecOptions::default();
-    let seed_blocks = plan.len().max(2);
-    let seed_batched_options = ExecOptions {
-        seed_blocks,
-        ..ExecOptions::default()
-    };
     let mut recorded_samples = Vec::new();
     let mut per_rate_samples = Vec::new();
     let mut batched_samples = Vec::new();
-    let mut seed_batched_samples = Vec::new();
     let mut stores = None;
     for _ in 0..args.reps {
         let start = Instant::now();
@@ -361,9 +354,6 @@ fn main() -> ExitCode {
         let start = Instant::now();
         let batched_store = run_sweep_with(&plan, args.workers, batched_options);
         batched_samples.push(start.elapsed().as_secs_f64());
-        let start = Instant::now();
-        let seed_batched_store = run_sweep_with(&plan, args.workers, seed_batched_options);
-        seed_batched_samples.push(start.elapsed().as_secs_f64());
         assert_eq!(
             recorded_store.to_csv(),
             per_rate_store.to_csv(),
@@ -379,23 +369,12 @@ fn main() -> ExitCode {
             batched_store.to_json(),
             "batched and per-rate sweeps must export identical JSON"
         );
-        assert_eq!(
-            per_rate_store.to_csv(),
-            seed_batched_store.to_csv(),
-            "seed-batched and per-rate sweeps must export identical results"
-        );
-        assert_eq!(
-            per_rate_store.to_json(),
-            seed_batched_store.to_json(),
-            "seed-batched and per-rate sweeps must export identical JSON"
-        );
         stores = Some((per_rate_store, batched_store));
     }
     let (streaming_store, _batched_store) = stores.expect("reps >= 1");
     let recorded_sweep = spread(&recorded_samples);
     let per_rate_sweep = spread(&per_rate_samples);
     let batched_sweep = spread(&batched_samples);
-    let seed_batched_sweep = spread(&seed_batched_samples);
     let sims: u64 = streaming_store
         .results()
         .iter()
@@ -425,16 +404,6 @@ fn main() -> ExitCode {
         batched_sweep.max,
         per_rate_sweep.min,
         per_rate_sweep.max,
-    );
-    let seed_batched_speedup = per_rate_sweep.median / seed_batched_sweep.median.max(1e-9);
-    println!(
-        "seed-batched msf sweep (seed_blocks {}): {:.2}s ({:.1} sims/s) -> {:.2}x over the per-rate path (spread {:.2}-{:.2}s)",
-        seed_blocks,
-        seed_batched_sweep.median,
-        sims as f64 / seed_batched_sweep.median.max(1e-9),
-        seed_batched_speedup,
-        seed_batched_sweep.min,
-        seed_batched_sweep.max,
     );
 
     // --- Phase 3: telemetry overhead (disabled vs enabled). ------------
@@ -599,9 +568,9 @@ fn main() -> ExitCode {
         sims as f64 / per_rate_sweep.median.max(1e-9),
         batched_speedup,
     );
-    let _ = writeln!(
+    let _ = write!(
         json,
-        "  \"telemetry_overhead\": {{\"jobs_recorded\": {}, \"off_s\": {:.6}, \"off_s_min\": {:.6}, \"off_s_max\": {:.6}, \"on_s\": {:.6}, \"on_s_min\": {:.6}, \"on_s_max\": {:.6}, \"on_vs_off\": {:.3}, \"off_vs_plain_batched\": {:.3}, \"exports_identical\": true}},",
+        "  \"telemetry_overhead\": {{\"jobs_recorded\": {}, \"off_s\": {:.6}, \"off_s_min\": {:.6}, \"off_s_max\": {:.6}, \"on_s\": {:.6}, \"on_s_min\": {:.6}, \"on_s_max\": {:.6}, \"on_vs_off\": {:.3}, \"off_vs_plain_batched\": {:.3}, \"exports_identical\": true}}",
         telemetry_jobs,
         telemetry_off.median,
         telemetry_off.min,
@@ -612,29 +581,6 @@ fn main() -> ExitCode {
         telemetry_ratio,
         telemetry_off.median / batched_sweep.median.max(1e-9),
     );
-    let _ = write!(
-        json,
-        "  \"seed_batched\": {{\"seed_blocks\": {}, \"batch_lanes\": {}, \"sims\": {}, \"seed_batched_s\": {:.6}, \"seed_batched_s_min\": {:.6}, \"seed_batched_s_max\": {:.6}, \"sims_per_s\": {:.2}, \"speedup_vs_per_rate\": {:.3}, \"exports_identical\": true",
-        seed_blocks,
-        args.rates.len(),
-        sims,
-        seed_batched_sweep.median,
-        seed_batched_sweep.min,
-        seed_batched_sweep.max,
-        sims as f64 / seed_batched_sweep.median.max(1e-9),
-        seed_batched_speedup,
-    );
-    if let Some(previous) = previous_sims_per_s {
-        let current = sims as f64 / seed_batched_sweep.median.max(1e-9);
-        let _ = write!(
-            json,
-            ", \"vs_previous\": {{\"previous_streaming_sims_per_s\": {:.2}, \"sims_per_s\": {:.2}, \"ratio\": {:.3}}}",
-            previous,
-            current,
-            current / previous.max(1e-9),
-        );
-    }
-    let _ = write!(json, "}}");
     if shards_skipped {
         let _ = write!(
             json,

@@ -181,34 +181,6 @@ pub fn parse_batch(spec: &str) -> Result<usize, String> {
     Ok(batch)
 }
 
-/// Parses a `--batch-lanes` value: candidate-rate lanes per lockstep
-/// minimum-safe-FPR pass. `0` means auto (the full candidate grid in one
-/// pass), `1` selects the per-rate reference search, `N >= 2` batches
-/// `N` lanes at a time — every setting exports identical bytes.
-///
-/// # Errors
-///
-/// A human-readable message for non-numeric values.
-pub fn parse_batch_lanes(spec: &str) -> Result<usize, String> {
-    spec.trim()
-        .parse()
-        .map_err(|_| format!("--batch-lanes expects a whole number (0 = auto), got {spec:?}"))
-}
-
-/// Parses a `--seed-blocks` value: how many consecutive minimum-safe-FPR
-/// jobs a worker advances through one seed-batched lockstep loop. `0`
-/// and `1` keep per-job granularity; `N >= 2` groups up to `N` jobs —
-/// every setting exports identical bytes.
-///
-/// # Errors
-///
-/// A human-readable message for non-numeric values.
-pub fn parse_seed_blocks(spec: &str) -> Result<usize, String> {
-    spec.trim()
-        .parse()
-        .map_err(|_| format!("--seed-blocks expects a whole number (0/1 = per-job), got {spec:?}"))
-}
-
 /// Parses a `--fail-after` value (worker fault injection): `>= 1`.
 ///
 /// # Errors

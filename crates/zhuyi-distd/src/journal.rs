@@ -10,10 +10,10 @@
 //! the same damage anywhere earlier fails the load, because a mid-file
 //! hole means the file as a whole is not trustworthy.
 //!
-//! # File format (v1)
+//! # File format (v2)
 //!
 //! ```text
-//! magic   b"ZHUYIDJ1"                        (8 bytes)
+//! magic   b"ZHUYIDJ2"                        (8 bytes)
 //! records u32-LE length
 //!         u32-LE FNV-1a-32 payload checksum  (see `wire::payload_checksum`)
 //!         payload: 1-byte record tag + fields
@@ -29,6 +29,11 @@
 //! 4 Cancelled {fingerprint u64}
 //! 5 Fetched   {fingerprint u64}
 //! ```
+//!
+//! v2 encodes `Submitted`'s options as two bools (`record_traces`,
+//! `per_rate`), following wire protocol v8. A v1 journal (`ZHUYIDJ1`)
+//! carried two extra `u32` counts there, so [`load`] refuses its header
+//! rather than misread its plans.
 //!
 //! [`replay`] folds a loaded record stream back into per-plan state:
 //! a restarted daemon re-queues every plan without a `Completed` record,
@@ -47,7 +52,7 @@ use std::io::{BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
 use zhuyi_fleet::{ExecOptions, JobResult, SweepJob};
 
-const MAGIC: &[u8; 8] = b"ZHUYIDJ1";
+const MAGIC: &[u8; 8] = b"ZHUYIDJ2";
 
 /// Errors raised while writing or loading a journal.
 #[derive(Debug)]
@@ -515,8 +520,7 @@ mod tests {
                 client: "client-b".into(),
                 options: ExecOptions {
                     record_traces: false,
-                    batch_lanes: 0,
-                    seed_blocks: 4,
+                    per_rate: true,
                 },
                 jobs: vec![probe_job(0)],
             },
@@ -632,6 +636,31 @@ mod tests {
         let path = tmp("magic");
         std::fs::write(&path, b"not a journal").expect("clobber");
         assert!(matches!(load(&path), Err(JournalError::Corrupt(_))));
+    }
+
+    #[test]
+    fn v1_journals_are_refused_not_misparsed() {
+        // A well-formed v1 journal: the old header and one checksummed
+        // Submitted record whose options still carry the two u32 counts
+        // (lane chunk width, seed-block count) after `record_traces`.
+        let mut payload = vec![1u8];
+        wire::put_u64(&mut payload, 0xaa);
+        wire::put_str(&mut payload, "client-a");
+        wire::put_bool(&mut payload, false);
+        wire::put_u32(&mut payload, 0);
+        wire::put_u32(&mut payload, 4);
+        wire::put_u32(&mut payload, 1);
+        wire::put_job(&mut payload, &probe_job(0));
+        let mut bytes = b"ZHUYIDJ1".to_vec();
+        bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        bytes.extend_from_slice(&wire::payload_checksum(&payload).to_le_bytes());
+        bytes.extend_from_slice(&payload);
+        let path = tmp("v1");
+        std::fs::write(&path, &bytes).expect("write v1 journal");
+        match load(&path) {
+            Err(JournalError::Corrupt(what)) => assert!(what.contains("header"), "{what}"),
+            other => panic!("a v1 journal must be refused, got {other:?}"),
+        }
     }
 
     /// Deterministic xorshift64* for the corruption fuzzers below.

@@ -74,15 +74,17 @@ use zhuyi_registry::{ScenarioDef, ScenarioSource};
 /// Protocol version sent in the handshake; bumped on any frame-layout
 /// change. Coordinator and worker must match exactly. v4 added per-frame
 /// payload checksums and the [`Frame::JobFailed`] error taxonomy; v5
-/// added the sweep-wide `seed_blocks` granularity to [`Frame::Welcome`];
+/// added a sweep-wide seed-block count to [`Frame::Welcome`];
 /// v6 added the `telemetry` flag to [`Frame::Welcome`], the
 /// [`Frame::Metrics`] snapshot piggyback, and heartbeat echoes
 /// (coordinator → worker) for round-trip latency measurement; v7 moved
 /// the execution options from [`Frame::Welcome`] into each
 /// [`Frame::Assign`] (warm workers serve consecutive plans with
 /// different options) and added the client-session frames
-/// ([`Frame::ClientHello`] through [`Frame::DrainAck`]).
-pub const PROTOCOL_VERSION: u16 = 7;
+/// ([`Frame::ClientHello`] through [`Frame::DrainAck`]); v8 shrank the
+/// encoded execution options to two bools (`record_traces`,
+/// `per_rate`), dropping the lane-chunk and seed-block counts.
+pub const PROTOCOL_VERSION: u16 = 8;
 
 /// Upper bound on a single frame's payload (defends both sides against a
 /// corrupt or hostile length prefix). Kept traces are the largest payload
@@ -207,9 +209,7 @@ pub enum Frame {
     Assign {
         /// Batch id echoed back in [`Frame::BatchDone`].
         batch: u32,
-        /// The plan-wide execution options for this shard. `batch_lanes`
-        /// and `seed_blocks` are encoded as `u32` on the wire (larger
-        /// counts are meaningless).
+        /// The plan-wide execution options for this shard.
         options: ExecOptions,
         /// The shard's jobs, ascending by id.
         jobs: Vec<SweepJob>,
@@ -533,15 +533,13 @@ impl<'a> Reader<'a> {
 
 pub(crate) fn put_exec_options(out: &mut Vec<u8>, options: ExecOptions) {
     put_bool(out, options.record_traces);
-    put_u32(out, options.batch_lanes as u32);
-    put_u32(out, options.seed_blocks as u32);
+    put_bool(out, options.per_rate);
 }
 
 pub(crate) fn exec_options(r: &mut Reader<'_>) -> Result<ExecOptions, WireError> {
     Ok(ExecOptions {
         record_traces: r.boolean()?,
-        batch_lanes: r.u32()? as usize,
-        seed_blocks: r.u32()? as usize,
+        per_rate: r.boolean()?,
     })
 }
 
@@ -1374,8 +1372,7 @@ mod tests {
                 batch: 7,
                 options: ExecOptions {
                     record_traces: false,
-                    batch_lanes: 0,
-                    seed_blocks: 10,
+                    per_rate: true,
                 },
                 jobs: sample_jobs(),
             },
@@ -1422,8 +1419,7 @@ mod tests {
                 fingerprint: 0xdead_beef_cafe_f00d,
                 options: ExecOptions {
                     record_traces: true,
-                    batch_lanes: 4,
-                    seed_blocks: 0,
+                    per_rate: false,
                 },
                 jobs: sample_jobs(),
             },
@@ -1477,8 +1473,7 @@ mod tests {
         let jobs = sample_jobs();
         let options = ExecOptions {
             record_traces: false,
-            batch_lanes: 3,
-            seed_blocks: 8,
+            per_rate: true,
         };
         let mut borrowed: Vec<u8> = Vec::new();
         write_assign(&mut borrowed, 7, options, &jobs).expect("write into a Vec");

@@ -35,7 +35,7 @@ use std::collections::{HashSet, VecDeque};
 use std::net::TcpStream;
 use std::sync::{Arc, Condvar, Mutex, Once};
 use std::time::{Duration, Instant};
-use zhuyi_fleet::{exec, ExecOptions, JobKind, JobOutcome, JobResult, SweepJob};
+use zhuyi_fleet::{exec, ExecOptions, JobOutcome, JobResult, SweepJob};
 use zhuyi_telemetry::{Counter, Registry};
 
 /// Exit code of a worker whose `--fail-after` fault injection fired.
@@ -377,73 +377,70 @@ pub fn run_worker(options: &WorkerOptions) -> Result<u64, WorkerError> {
             }
         };
         let (batch_id, exec_options, jobs) = batch;
-        for block in seed_blocks(jobs, exec_options, options) {
-            // Revocation is checked once per block (best-effort, exactly
-            // like the old per-job check: a Revoke that lands mid-block
-            // arrives too late either way).
-            let live: Vec<SweepJob> = block
-                .into_iter()
-                .filter(|job| {
-                    let (lock, _) = &*inbox;
-                    !lock
-                        .lock()
-                        .expect("inbox poisoned")
-                        .revoked
-                        .contains(&job.id.0)
-                })
-                .collect();
-            let results = execute_block_contained(live, exec_options, options);
-            for (job, result) in results {
-                let job_id = job.id.0;
-                match result {
-                    Ok(mut outcome) => {
-                        if let Some((target, delta)) = options.corrupt_job {
-                            if target == job_id {
-                                corruptions += 1;
-                                corrupt_outcome(&mut outcome, delta * corruptions);
-                            }
+        for job in jobs {
+            let revoked = {
+                let (lock, _) = &*inbox;
+                lock.lock()
+                    .expect("inbox poisoned")
+                    .revoked
+                    .contains(&job.id.0)
+            };
+            if revoked {
+                continue;
+            }
+            let job_id = job.id.0;
+            let timer = zhuyi_telemetry::JobTimer::start();
+            match execute_contained(&job, exec_options, options) {
+                Ok(mut outcome) => {
+                    timer.finish(job_id);
+                    if let Some((target, delta)) = options.corrupt_job {
+                        if target == job_id {
+                            corruptions += 1;
+                            corrupt_outcome(&mut outcome, delta * corruptions);
                         }
-                        let result = JobResult { job, outcome };
-                        {
-                            let mut w = writer.lock().expect("writer poisoned");
-                            // v6: a cumulative snapshot precedes every Result,
-                            // so once the coordinator holds a worker's last
-                            // Result it also holds metrics covering it (TCP
-                            // preserves the order).
-                            if let Some(reg) = &registry {
-                                if let Err(e) = w.send(&Frame::Metrics {
-                                    snapshot: Box::new(reg.snapshot()),
-                                }) {
-                                    return Err(WorkerError::ConnectionLost(e.to_string()));
-                                }
-                            }
-                            if let Err(e) = w.send(&Frame::Result {
-                                result: Box::new(result),
+                    }
+                    let result = JobResult { job, outcome };
+                    {
+                        let mut w = writer.lock().expect("writer poisoned");
+                        // v6: a cumulative snapshot precedes every Result,
+                        // so once the coordinator holds a worker's last
+                        // Result it also holds metrics covering it (TCP
+                        // preserves the order).
+                        if let Some(reg) = &registry {
+                            if let Err(e) = w.send(&Frame::Metrics {
+                                snapshot: Box::new(reg.snapshot()),
                             }) {
                                 return Err(WorkerError::ConnectionLost(e.to_string()));
                             }
                         }
-                        executed += 1;
-                        streamed_results += 1;
-                        if options.fail_after == Some(streamed_results) {
-                            // Fault injection: die *hard*, mid-batch, exactly
-                            // like a crashed or OOM-killed process would.
-                            std::process::exit(i32::from(FAULT_EXIT_CODE));
-                        }
-                    }
-                    Err(detail) => {
-                        // Contained panic: report the strike and keep serving
-                        // the rest of the batch — the process survives.
-                        let mut w = writer.lock().expect("writer poisoned");
-                        if let Err(e) = w.send(&Frame::JobFailed {
-                            job: job_id,
-                            error: JobError {
-                                kind: JobErrorKind::Panic,
-                                detail,
-                            },
+                        if let Err(e) = w.send(&Frame::Result {
+                            result: Box::new(result),
                         }) {
                             return Err(WorkerError::ConnectionLost(e.to_string()));
                         }
+                    }
+                    executed += 1;
+                    streamed_results += 1;
+                    if options.fail_after == Some(streamed_results) {
+                        // Fault injection: die *hard*, mid-batch, exactly
+                        // like a crashed or OOM-killed process would.
+                        std::process::exit(i32::from(FAULT_EXIT_CODE));
+                    }
+                }
+                Err(detail) => {
+                    // Contained panic: report the strike and keep serving
+                    // the rest of the batch — the process survives. A
+                    // panicked job records no wall time: its strike is
+                    // accounted by the coordinator, not the job histogram.
+                    let mut w = writer.lock().expect("writer poisoned");
+                    if let Err(e) = w.send(&Frame::JobFailed {
+                        job: job_id,
+                        error: JobError {
+                            kind: JobErrorKind::Panic,
+                            detail,
+                        },
+                    }) {
+                        return Err(WorkerError::ConnectionLost(e.to_string()));
                     }
                 }
             }
@@ -460,90 +457,4 @@ pub fn run_worker(options: &WorkerOptions) -> Result<u64, WorkerError> {
             return Err(WorkerError::ConnectionLost(e.to_string()));
         }
     }
-}
-
-/// Groups an assignment's jobs into seed blocks under the sweep-wide
-/// [`ExecOptions::seed_blocks`] granularity: consecutive minimum-safe-FPR
-/// jobs sharing a candidate grid batch together (up to the limit), and
-/// everything else — other job kinds, trace-recording or per-rate-search
-/// sweeps, and any job targeted by a fault-injection test hook — rides
-/// alone so the per-job containment and corruption semantics are
-/// untouched.
-fn seed_blocks(
-    jobs: Vec<SweepJob>,
-    exec_options: ExecOptions,
-    options: &WorkerOptions,
-) -> Vec<Vec<SweepJob>> {
-    let limit = exec_options.seed_blocks;
-    let blockable = limit > 1 && !exec_options.record_traces && exec_options.batch_lanes != 1;
-    if !blockable {
-        return jobs.into_iter().map(|job| vec![job]).collect();
-    }
-    let hooked = |id: u64| {
-        options.poison_job == Some(id)
-            || options.wedge_job == Some(id)
-            || options.corrupt_job.is_some_and(|(target, _)| target == id)
-    };
-    let mut blocks: Vec<Vec<SweepJob>> = Vec::new();
-    for job in jobs {
-        let extends = match (&job.spec.kind, blocks.last()) {
-            (JobKind::MinSafeFpr { candidates }, Some(block))
-                if block.len() < limit && !hooked(job.id.0) && !hooked(block[0].id.0) =>
-            {
-                matches!(&block[0].spec.kind,
-                    JobKind::MinSafeFpr { candidates: prev } if prev == candidates)
-            }
-            _ => false,
-        };
-        if extends {
-            blocks.last_mut().expect("nonempty by match").push(job);
-        } else {
-            blocks.push(vec![job]);
-        }
-    }
-    blocks
-}
-
-/// Executes one seed block inside the containment boundary. Multi-job
-/// blocks run through [`exec::execute_seed_block`]; if that batched run
-/// panics, the block falls back to one-job-at-a-time execution so the
-/// strike lands on exactly the job that caused it — byte-identical
-/// failure reporting to the per-job path.
-fn execute_block_contained(
-    block: Vec<SweepJob>,
-    exec_options: ExecOptions,
-    options: &WorkerOptions,
-) -> Vec<(SweepJob, Result<JobOutcome, String>)> {
-    if block.len() > 1 {
-        let specs: Vec<zhuyi_fleet::JobSpec> = block.iter().map(|job| job.spec.clone()).collect();
-        CONTAINING.with(|c| c.set(true));
-        let timer = zhuyi_telemetry::JobTimer::start();
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            exec::execute_seed_block(&specs, exec_options)
-        }));
-        CONTAINING.with(|c| c.set(false));
-        if let Ok(outcomes) = outcome {
-            // Block jobs interleave through one lockstep loop; each gets
-            // the amortized even share of the block's wall time.
-            timer.finish_block(block.iter().map(|job| job.id.0));
-            return block
-                .into_iter()
-                .zip(outcomes.into_iter().map(Ok))
-                .collect();
-        }
-        PANIC_MESSAGE.with(|m| m.borrow_mut().take());
-    }
-    block
-        .into_iter()
-        .map(|job| {
-            let timer = zhuyi_telemetry::JobTimer::start();
-            let result = execute_contained(&job, exec_options, options);
-            if result.is_ok() {
-                // A panicked job records no wall time: its strike is
-                // accounted by the coordinator, not the job histogram.
-                timer.finish(job.id.0);
-            }
-            (job, result)
-        })
-        .collect()
 }

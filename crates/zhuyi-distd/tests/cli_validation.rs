@@ -1,6 +1,7 @@
 //! The distribution CLIs must reject malformed flag values loudly: a
 //! clear message on stderr and a non-zero exit code, never a silently
-//! reinterpreted sweep.
+//! reinterpreted sweep — and must write the exports they do produce
+//! where the caller runs them.
 
 use std::process::{Command, Output};
 
@@ -35,6 +36,38 @@ fn assert_rejected(out: &Output, hint: &str) {
         stderr.contains(hint),
         "stderr must mention {hint:?}: {stderr}"
     );
+}
+
+#[test]
+fn exports_land_under_the_working_directory() {
+    // `--csv NAME` writes `results/NAME` relative to where the binary
+    // runs, not into the checkout it was built in.
+    let dir = std::env::temp_dir().join(format!("fleet-sweep-cwd-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let out = Command::new(env!("CARGO_BIN_EXE_fleet_sweep"))
+        .args([
+            "--mode",
+            "probe",
+            "--scenarios",
+            "0",
+            "--variants",
+            "1",
+            "--csv",
+            "x.csv",
+        ])
+        .current_dir(&dir)
+        .output()
+        .expect("run fleet_sweep");
+    assert!(
+        out.status.success(),
+        "sweep failed: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let csv = std::fs::read_to_string(dir.join("results").join("x.csv"))
+        .expect("the CSV must land in <cwd>/results/x.csv");
+    assert!(csv.lines().count() > 1, "the CSV holds no rows: {csv:?}");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -109,26 +142,23 @@ fn malformed_mode_specific_values_are_rejected() {
 }
 
 #[test]
-fn malformed_batch_lanes_values_are_rejected() {
-    assert_rejected(&fleet_sweep(&["--batch-lanes", "x"]), "--batch-lanes");
-    assert_rejected(&fleet_sweep(&["--batch-lanes", "-1"]), "--batch-lanes");
-    assert_rejected(&fleet_sweep(&["--batch-lanes"]), "expects a value");
-    // Trace-recording probes always take the per-rate classic path, so a
-    // batching request alongside would be silently ignored — reject it.
+fn per_rate_is_rejected_where_it_would_be_ignored() {
+    // Trace-recording searches always take the per-rate classic path, so
+    // the flag alongside would be silently redundant — reject it.
     assert_rejected(
-        &fleet_sweep(&["--record-traces", "--batch-lanes", "4"]),
+        &fleet_sweep(&["--record-traces", "--per-rate"]),
         "--record-traces",
     );
-    // Lane batching only exists on the MSF candidate grid.
+    // The per-rate switch only exists for the MSF candidate search.
     assert_rejected(
-        &fleet_sweep(&["--mode", "probe", "--batch-lanes", "2"]),
-        "--batch-lanes",
+        &fleet_sweep(&["--mode", "probe", "--per-rate"]),
+        "--per-rate",
     );
-    // A --connect worker inherits batching from the coordinator's
-    // Welcome frame; a local flag would be dead.
+    // A --connect worker receives its options from the coordinator with
+    // every Assign frame; a local flag would be dead.
     assert_rejected(
-        &fleet_sweep(&["--connect", "127.0.0.1:7700", "--batch-lanes", "2"]),
-        "--batch-lanes",
+        &fleet_sweep(&["--connect", "127.0.0.1:7700", "--per-rate"]),
+        "--per-rate",
     );
 }
 

@@ -78,35 +78,29 @@ fn distributed_sweep_is_byte_identical_to_single_process() {
 
 #[test]
 fn distributed_batched_sweep_matches_per_rate_single_process() {
-    // Workers inherit batch_lanes through the Welcome frame; whatever
-    // lane batching they run, the merged exports must stay byte-equal to
-    // a per-rate single-process sweep of the same plan.
+    // Workers receive the execution options with every Assign frame;
+    // whichever MSF search they run, the merged exports must stay
+    // byte-equal to a per-rate single-process sweep of the same plan.
     let plan = SweepPlan::builder()
         .scenarios([ScenarioId::CutOut, ScenarioId::FrontRightActivity2])
         .jittered_variants(2)
         .min_safe_fpr(vec![1, 2, 4, 6, 30])
         .build();
-    let per_rate = fingerprint(&zhuyi_fleet::run_sweep_with(
-        &plan,
-        1,
-        ExecOptions {
-            batch_lanes: 1,
-            ..ExecOptions::default()
-        },
-    ));
-    for batch_lanes in [0usize, 3] {
+    let per_rate_options = ExecOptions {
+        per_rate: true,
+        ..ExecOptions::default()
+    };
+    let per_rate = fingerprint(&zhuyi_fleet::run_sweep_with(&plan, 1, per_rate_options));
+    for options in [ExecOptions::default(), per_rate_options] {
         let dist_config = DistConfig {
-            options: ExecOptions {
-                batch_lanes,
-                ..ExecOptions::default()
-            },
+            options,
             ..config()
         };
         let report = run_distributed(&plan, &dist_config).expect("distributed batched sweep");
         assert_eq!(
             fingerprint(&report.store),
             per_rate,
-            "batch_lanes {batch_lanes}: distributed exports diverged from per-rate"
+            "{options:?}: distributed exports diverged from per-rate"
         );
     }
 }

@@ -15,7 +15,7 @@
 //! `perf_baseline` benchmark measures the streaming path against).
 
 use crate::job::{JobKind, JobSpec, PredictorChoice};
-use crate::search::min_safe_fpr_with;
+use crate::search::{min_safe_fpr_batched, min_safe_fpr_with};
 use crate::store::{AnalysisOutcome, JobOutcome, ProbeOutcome};
 use av_core::units::Seconds;
 use av_perception::rig::CameraRig;
@@ -34,25 +34,15 @@ use zhuyi_runtime::online::{OnlineConfig, OnlineEstimator};
 pub struct ExecOptions {
     /// Force the classic full-trace path even for jobs whose outcome only
     /// needs scalars. Costs memory and time; produces identical results
-    /// (pinned by the fleet determinism tests). Trace-recording probes
-    /// always use the per-rate path, whatever `batch_lanes` says.
+    /// (pinned by the fleet determinism tests). Trace-recording
+    /// minimum-safe-FPR searches always take the per-rate path.
     pub record_traces: bool,
-    /// How many candidate-rate lanes a minimum-safe-FPR search runs per
-    /// lockstep pass (see [`crate::search::min_safe_fpr_batched`]):
-    /// `0` (the default) batches the full grid in one pass, `1` selects
-    /// the per-rate reference search, and `N >= 2` batches `N` lanes at
-    /// a time. Every setting produces byte-identical exports.
-    pub batch_lanes: usize,
-    /// How many minimum-safe-FPR jobs a worker advances through **one
-    /// seed-batched lockstep loop** (see
-    /// [`crate::search::min_safe_fpr_seed_batched`]): `0` or `1` keeps
-    /// the one-job-at-a-time granularity, `N >= 2` groups up to `N`
-    /// consecutive MSF jobs — each with its own jittered geometry — into
-    /// one work item. Exports are byte-identical at every setting; what
-    /// changes is scheduling granularity and the lockstep win. Ignored
-    /// (per-job granularity) when `record_traces` forces the classic
-    /// path or `batch_lanes == 1` selects the per-rate reference search.
-    pub seed_blocks: usize,
+    /// Run minimum-safe-FPR searches through the per-rate reference
+    /// search ([`crate::search::min_safe_fpr_with`]) instead of the
+    /// default one-pass lane-batched search
+    /// ([`crate::search::min_safe_fpr_batched`]). Both produce
+    /// byte-identical exports; other job kinds ignore the flag.
+    pub per_rate: bool,
 }
 
 /// Executes one job to completion with default options (metrics-only
@@ -90,10 +80,10 @@ pub fn execute_with(spec: &JobSpec, options: ExecOptions) -> JobOutcome {
         JobKind::MinSafeFpr { candidates } => {
             // The batched grid cannot record per-candidate traces, so
             // `record_traces` always routes through the per-rate search.
-            let search = if options.record_traces || options.batch_lanes == 1 {
+            let search = if options.record_traces || options.per_rate {
                 min_safe_fpr_with(&scenario, candidates, options.record_traces)
             } else {
-                crate::search::min_safe_fpr_batched(&scenario, candidates, options.batch_lanes)
+                min_safe_fpr_batched(&scenario, candidates)
             };
             JobOutcome::MinSafeFpr(search)
         }
@@ -112,43 +102,6 @@ pub fn execute_with(spec: &JobSpec, options: ExecOptions) -> JobOutcome {
             ))
         }
     }
-}
-
-/// Executes a **seed block** — several [`JobKind::MinSafeFpr`] jobs, one
-/// per jittered scenario instance — through one seed-batched lockstep
-/// loop ([`crate::search::min_safe_fpr_seed_batched`]), returning one
-/// outcome per spec in input order. Each outcome is byte-identical to
-/// `execute_with(spec, options)` for that spec alone; the block is a
-/// wall-clock and scheduling-granularity optimization, never a semantic
-/// one.
-///
-/// # Panics
-///
-/// Panics if any spec is not a `MinSafeFpr` job or the specs disagree on
-/// their candidate grids (the grouping layers — [`crate::run_sweep_with`]
-/// and the distributed worker — only form blocks that satisfy both).
-pub fn execute_seed_block(specs: &[JobSpec], _options: ExecOptions) -> Vec<JobOutcome> {
-    let candidates = match specs {
-        [] => return Vec::new(),
-        [first, ..] => match &first.kind {
-            JobKind::MinSafeFpr { candidates } => candidates,
-            other => panic!("seed block with non-MSF job kind {:?}", other.name()),
-        },
-    };
-    let scenarios: Vec<Scenario> = specs
-        .iter()
-        .map(|spec| {
-            match &spec.kind {
-                JobKind::MinSafeFpr { candidates: c } if c == candidates => {}
-                other => panic!("mixed seed block: {:?} vs leading MSF grid", other.name()),
-            }
-            spec.scenario.build(spec.seed)
-        })
-        .collect();
-    crate::search::min_safe_fpr_seed_batched(&scenarios, candidates)
-        .into_iter()
-        .map(JobOutcome::MinSafeFpr)
-        .collect()
 }
 
 fn run(scenario: &Scenario, plan: &crate::job::RateSpec) -> Trace {

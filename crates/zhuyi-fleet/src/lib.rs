@@ -71,9 +71,7 @@ pub mod store;
 pub use exec::ExecOptions;
 pub use job::{JobId, JobKind, JobSpec, PredictorChoice, RateSpec, SweepJob};
 pub use plan::{SweepPlan, SweepPlanBuilder};
-pub use search::{
-    min_safe_fpr, min_safe_fpr_batched, min_safe_fpr_seed_batched, min_safe_fpr_with, MsfSearch,
-};
+pub use search::{min_safe_fpr, min_safe_fpr_batched, min_safe_fpr_with, MsfSearch};
 pub use store::{JobOutcome, JobResult, ResultStore, ScenarioSummary};
 
 /// Runs every job of `plan` on `workers` threads and merges the results
@@ -87,93 +85,19 @@ pub fn run_sweep(plan: &SweepPlan, workers: usize) -> ResultStore {
 }
 
 /// [`run_sweep`] under explicit [`ExecOptions`] — e.g. `record_traces` to
-/// force the classic full-trace path for every job (identical results,
-/// higher cost; the baseline the `perf_baseline` benchmark measures
-/// against), or `seed_blocks` to coarsen the work-item granularity from
-/// one job to one **seed block**: up to `seed_blocks` consecutive
-/// minimum-safe-FPR jobs advanced through a single seed-batched lockstep
-/// loop (`exec::execute_seed_block`). Blocks preserve plan order, the
-/// pool merge preserves block order, and every outcome is byte-identical
-/// to its per-job execution — so exports do not change, only wall-clock
-/// and scheduling granularity do.
+/// force the classic full-trace path for every job, or `per_rate` to run
+/// minimum-safe-FPR searches one candidate at a time (identical results,
+/// higher cost; the baselines the `perf_baseline` benchmark measures
+/// against).
 pub fn run_sweep_with(plan: &SweepPlan, workers: usize, options: ExecOptions) -> ResultStore {
-    let jobs = plan.jobs().to_vec();
-    let blockable = options.seed_blocks > 1 && !options.record_traces && options.batch_lanes != 1;
-    if !blockable {
-        let results = pool::run_indexed(jobs, workers, move |job| {
-            let timer = zhuyi_telemetry::JobTimer::start();
-            let outcome = exec::execute_with(&job.spec, options);
-            timer.finish(job.id.0);
-            JobResult {
-                job: job.clone(),
-                outcome,
-            }
-        });
-        return ResultStore::new(results);
-    }
-    let blocks = seed_blocks(jobs, options.seed_blocks);
-    let results: Vec<JobResult> =
-        pool::run_indexed(blocks, workers, move |block| execute_block(block, options))
-            .into_iter()
-            .flatten()
-            .collect();
-    ResultStore::new(results)
-}
-
-/// Groups consecutive minimum-safe-FPR jobs that share a candidate grid
-/// into blocks of at most `limit`; every other job rides alone. Plan
-/// order is preserved both across and within blocks, which is what keeps
-/// the flattened result list id-ordered.
-fn seed_blocks(jobs: Vec<SweepJob>, limit: usize) -> Vec<Vec<SweepJob>> {
-    let mut blocks: Vec<Vec<SweepJob>> = Vec::new();
-    for job in jobs {
-        let extends = match (&job.spec.kind, blocks.last()) {
-            (JobKind::MinSafeFpr { candidates }, Some(block)) if block.len() < limit => {
-                matches!(&block[0].spec.kind,
-                    JobKind::MinSafeFpr { candidates: prev } if prev == candidates)
-            }
-            _ => false,
-        };
-        if extends {
-            blocks.last_mut().expect("nonempty by match").push(job);
-        } else {
-            blocks.push(vec![job]);
-        }
-    }
-    blocks
-}
-
-fn execute_block(block: &[SweepJob], options: ExecOptions) -> Vec<JobResult> {
-    let batchable = block.len() > 1
-        && block
-            .iter()
-            .all(|job| matches!(job.spec.kind, JobKind::MinSafeFpr { .. }));
-    if !batchable {
-        return block
-            .iter()
-            .map(|job| {
-                let timer = zhuyi_telemetry::JobTimer::start();
-                let outcome = exec::execute_with(&job.spec, options);
-                timer.finish(job.id.0);
-                JobResult {
-                    job: job.clone(),
-                    outcome,
-                }
-            })
-            .collect();
-    }
-    let specs: Vec<JobSpec> = block.iter().map(|job| job.spec.clone()).collect();
-    let timer = zhuyi_telemetry::JobTimer::start();
-    let outcomes = exec::execute_seed_block(&specs, options);
-    // Block execution interleaves its jobs through one lockstep loop, so
-    // each job's recorded wall time is the amortized even share.
-    timer.finish_block(block.iter().map(|job| job.id.0));
-    outcomes
-        .into_iter()
-        .zip(block)
-        .map(|(outcome, job)| JobResult {
+    let results = pool::run_indexed(plan.jobs().to_vec(), workers, move |job| {
+        let timer = zhuyi_telemetry::JobTimer::start();
+        let outcome = exec::execute_with(&job.spec, options);
+        timer.finish(job.id.0);
+        JobResult {
             job: job.clone(),
             outcome,
-        })
-        .collect()
+        }
+    });
+    ResultStore::new(results)
 }

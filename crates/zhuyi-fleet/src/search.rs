@@ -164,12 +164,7 @@ pub fn min_safe_fpr_with(
     candidates: &[u32],
     record_traces: bool,
 ) -> MsfSearch {
-    assert!(!candidates.is_empty(), "empty candidate grid");
-    assert!(
-        candidates.windows(2).all(|w| w[0] < w[1]),
-        "candidate grid must be strictly ascending"
-    );
-
+    check_grid(candidates);
     let n = candidates.len();
     let mut probe = Probe {
         scenario,
@@ -204,28 +199,15 @@ pub fn min_safe_fpr_with(
             highest_unsafe = Some(index);
         }
     }
-
-    let mrf = match highest_unsafe {
-        None => Mrf::BelowMinimumTested,
-        Some(h) if h + 1 < n => Mrf::Fpr(candidates[h + 1]),
-        Some(_) => Mrf::AboveMaximumTested,
-    };
-    MsfSearch {
-        mrf,
-        sims_run: probe.sims_run,
-        grid_size: n as u32,
-        grid_min: candidates[0],
-        grid_max: candidates[n - 1],
-    }
+    answer(candidates, highest_unsafe, probe.sims_run)
 }
 
 /// [`min_safe_fpr`] through the lane-batched backend: the whole candidate
-/// grid runs as lockstep lanes of one shared simulation
-/// ([`SweepContext::collides_batched`]), `batch_lanes` per pass (`0` =
-/// the full grid in one pass). Collided lanes retire where their
-/// standalone runs would stop, and conservative certificates retire
-/// provably-safe suffixes early (`av_sim::batch::cert`), which is where
-/// the wall-clock win over the per-rate search comes from.
+/// grid runs as lockstep lanes of one shared simulation in one pass
+/// ([`SweepContext::collides_batched`]). Collided lanes retire where
+/// their standalone runs would stop, and conservative certificates
+/// retire provably-safe suffixes early (`av_sim::batch::cert`), which is
+/// where the wall-clock win over the per-rate search comes from.
 ///
 /// The answer — and the exported accounting — is **identical** to
 /// [`min_safe_fpr`]: the MRF falls out of the same
@@ -238,30 +220,32 @@ pub fn min_safe_fpr_with(
 /// # Panics
 ///
 /// Panics if `candidates` is empty or not strictly ascending.
-pub fn min_safe_fpr_batched(
-    scenario: &Scenario,
-    candidates: &[u32],
-    batch_lanes: usize,
-) -> MsfSearch {
+pub fn min_safe_fpr_batched(scenario: &Scenario, candidates: &[u32]) -> MsfSearch {
+    check_grid(candidates);
+    let rates: Vec<Fpr> = candidates.iter().map(|&c| Fpr(f64::from(c))).collect();
+    let safe: Vec<bool> = SweepContext::new(scenario)
+        .collides_batched(&rates)
+        .into_iter()
+        .map(|collided| !collided)
+        .collect();
+    let highest_unsafe = safe.iter().rposition(|&s| !s);
+    answer(candidates, highest_unsafe, replayed_sims_run(&safe))
+}
+
+/// Panics unless `candidates` is a nonempty, strictly ascending grid.
+fn check_grid(candidates: &[u32]) {
     assert!(!candidates.is_empty(), "empty candidate grid");
     assert!(
         candidates.windows(2).all(|w| w[0] < w[1]),
         "candidate grid must be strictly ascending"
     );
+}
+
+/// The search record for `candidates` whose highest unsafe index is
+/// `highest_unsafe`: the answer is the candidate just above it, exactly
+/// like the exhaustive scan's.
+fn answer(candidates: &[u32], highest_unsafe: Option<usize>, sims_run: u32) -> MsfSearch {
     let n = candidates.len();
-    let chunk = if batch_lanes == 0 { n } else { batch_lanes };
-    let mut context = SweepContext::new(scenario);
-    let mut safe = Vec::with_capacity(n);
-    for block in candidates.chunks(chunk) {
-        let rates: Vec<Fpr> = block.iter().map(|&c| Fpr(f64::from(c))).collect();
-        safe.extend(
-            context
-                .collides_batched(&rates)
-                .into_iter()
-                .map(|collided| !collided),
-        );
-    }
-    let highest_unsafe = safe.iter().rposition(|&s| !s);
     let mrf = match highest_unsafe {
         None => Mrf::BelowMinimumTested,
         Some(h) if h + 1 < n => Mrf::Fpr(candidates[h + 1]),
@@ -269,62 +253,11 @@ pub fn min_safe_fpr_batched(
     };
     MsfSearch {
         mrf,
-        sims_run: replayed_sims_run(&safe),
+        sims_run,
         grid_size: n as u32,
         grid_min: candidates[0],
         grid_max: candidates[n - 1],
     }
-}
-
-/// [`min_safe_fpr_batched`] across **several scenario instances at
-/// once** — the seed axis batched on top of the rate axis. Every
-/// instance (typically: one jitter seed of one scenario family)
-/// becomes a lane *group* of one lockstep loop
-/// ([`av_scenarios::sweep::collides_seed_batched_with_stats`]); groups
-/// own their own jittered geometry and retire lane by lane, so a
-/// certificate on one seed's 30-FPR lane never waits on another seed's
-/// straggler.
-///
-/// `results[g]` is **identical** — answer and accounting — to
-/// `min_safe_fpr(&scenarios[g], candidates)`: the MRF falls out of the
-/// same highest-unsafe-candidate rule over the group's verdict row, and
-/// `sims_run` replays the per-rate binary-plus-verification schedule.
-/// Pinned by this module's tests and the cross-path equivalence harness
-/// (`tests/path_equivalence.rs`).
-///
-/// # Panics
-///
-/// Panics if `candidates` is empty or not strictly ascending.
-pub fn min_safe_fpr_seed_batched(scenarios: &[Scenario], candidates: &[u32]) -> Vec<MsfSearch> {
-    assert!(!candidates.is_empty(), "empty candidate grid");
-    assert!(
-        candidates.windows(2).all(|w| w[0] < w[1]),
-        "candidate grid must be strictly ascending"
-    );
-    let n = candidates.len();
-    let rates: Vec<Fpr> = candidates.iter().map(|&c| Fpr(f64::from(c))).collect();
-    let mut contexts: Vec<SweepContext> = scenarios.iter().map(SweepContext::new).collect();
-    let (verdicts, _) =
-        av_scenarios::sweep::collides_seed_batched_with_stats(&mut contexts, &rates);
-    verdicts
-        .into_iter()
-        .map(|row| {
-            let safe: Vec<bool> = row.into_iter().map(|collided| !collided).collect();
-            let highest_unsafe = safe.iter().rposition(|&s| !s);
-            let mrf = match highest_unsafe {
-                None => Mrf::BelowMinimumTested,
-                Some(h) if h + 1 < n => Mrf::Fpr(candidates[h + 1]),
-                Some(_) => Mrf::AboveMaximumTested,
-            };
-            MsfSearch {
-                mrf,
-                sims_run: replayed_sims_run(&safe),
-                grid_size: n as u32,
-                grid_min: candidates[0],
-                grid_max: candidates[n - 1],
-            }
-        })
-        .collect()
 }
 
 /// The number of candidates the per-rate search would have simulated for
@@ -367,7 +300,7 @@ mod tests {
     fn batched_search_is_byte_equivalent_to_per_rate_search() {
         // Whole MsfSearch records — answer AND accounting — must match,
         // including the non-monotone instance that forces verification
-        // and a mid-grid boundary, for every batching granularity.
+        // and a mid-grid boundary.
         for (id, seed) in [
             (ScenarioId::CutOut, 0u64),
             (ScenarioId::CutOutFast, 0),
@@ -375,40 +308,10 @@ mod tests {
             (ScenarioId::VehicleFollowing, 2),
         ] {
             let scenario = Scenario::build(id, seed);
-            let per_rate = min_safe_fpr(&scenario, &PAPER_RATE_GRID);
-            for lanes in [0usize, 1, 3, 5, 12] {
-                let batched = min_safe_fpr_batched(&scenario, &PAPER_RATE_GRID, lanes);
-                assert_eq!(
-                    batched, per_rate,
-                    "{id} seed {seed}: batched({lanes}) diverged"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn seed_batched_search_is_byte_equivalent_to_per_rate_search() {
-        // One mixed-geometry batch — straight and curved families,
-        // several seeds each, including the non-monotone curved seed 6 —
-        // must reproduce every per-instance MsfSearch record exactly.
-        let scenarios: Vec<Scenario> = [
-            (ScenarioId::CutOut, 0u64),
-            (ScenarioId::CutOut, 4),
-            (ScenarioId::CutOutFast, 0),
-            (ScenarioId::ChallengingCutInCurved, 6),
-            (ScenarioId::VehicleFollowing, 2),
-        ]
-        .into_iter()
-        .map(|(id, seed)| Scenario::build(id, seed))
-        .collect();
-        let batched = min_safe_fpr_seed_batched(&scenarios, &PAPER_RATE_GRID);
-        assert_eq!(batched.len(), scenarios.len());
-        for (scenario, got) in scenarios.iter().zip(&batched) {
-            let want = min_safe_fpr(scenario, &PAPER_RATE_GRID);
             assert_eq!(
-                *got, want,
-                "{} seed {}: seed-batched search diverged",
-                scenario.name, scenario.seed
+                min_safe_fpr_batched(&scenario, &PAPER_RATE_GRID),
+                min_safe_fpr(&scenario, &PAPER_RATE_GRID),
+                "{id} seed {seed}: batched search diverged"
             );
         }
     }

@@ -1,48 +1,44 @@
-//! Fleet-level batched-vs-per-rate export equality: whatever
-//! `ExecOptions::batch_lanes` says, a sweep's CSV and JSON exports must
-//! be byte-identical — the batched backend replays the per-rate search's
-//! accounting, so not even `sims_run` may drift.
+//! Fleet-level batched-vs-per-rate export equality: whether
+//! `ExecOptions::per_rate` is set or not, a sweep's CSV and JSON exports
+//! must be byte-identical — the batched backend replays the per-rate
+//! search's accounting, so not even `sims_run` may drift.
 
 use zhuyi_fleet::{run_sweep_with, ExecOptions, SweepPlan};
 
-fn options(batch_lanes: usize) -> ExecOptions {
-    ExecOptions {
-        batch_lanes,
-        ..ExecOptions::default()
-    }
-}
+const PER_RATE: ExecOptions = ExecOptions {
+    record_traces: false,
+    per_rate: true,
+};
 
 #[test]
-fn msf_sweep_exports_are_identical_across_batch_granularities() {
+fn msf_sweep_exports_are_identical_on_both_paths() {
     // The full jittered catalog (all nine scenarios, two variants each)
-    // over the full paper rate grid: per-rate reference, whole-grid
-    // batching, and an uneven chunk size that forces multiple passes.
+    // over the full paper rate grid: per-rate reference vs whole-grid
+    // batching.
     let plan = SweepPlan::builder()
         .scenarios(av_scenarios::catalog::ScenarioId::ALL)
         .jittered_variants(2)
         .min_safe_fpr(av_scenarios::catalog::PAPER_RATE_GRID.to_vec())
         .build();
-    let per_rate = run_sweep_with(&plan, 2, options(1));
-    for lanes in [0usize, 5] {
-        let batched = run_sweep_with(&plan, 2, options(lanes));
-        assert_eq!(
-            per_rate.to_csv(),
-            batched.to_csv(),
-            "batch_lanes {lanes}: CSV export diverged from the per-rate path"
-        );
-        assert_eq!(
-            per_rate.to_json(),
-            batched.to_json(),
-            "batch_lanes {lanes}: JSON export diverged from the per-rate path"
-        );
-    }
+    let per_rate = run_sweep_with(&plan, 2, PER_RATE);
+    let batched = run_sweep_with(&plan, 2, ExecOptions::default());
+    assert_eq!(
+        per_rate.to_csv(),
+        batched.to_csv(),
+        "CSV export diverged from the per-rate path"
+    );
+    assert_eq!(
+        per_rate.to_json(),
+        batched.to_json(),
+        "JSON export diverged from the per-rate path"
+    );
 }
 
 #[test]
-fn batch_lanes_does_not_perturb_other_job_kinds() {
+fn per_rate_does_not_perturb_other_job_kinds() {
     // Probe, per-camera and analyze jobs (all three predictors) never
-    // consult batch_lanes; a mixed plan pins that the flag cannot change
-    // a byte of their exports either.
+    // consult per_rate; a mixed plan pins that the flag cannot change a
+    // byte of their exports either.
     use zhuyi_fleet::PredictorChoice;
     let scenarios = [
         av_scenarios::catalog::ScenarioId::CutOut,
@@ -79,18 +75,18 @@ fn batch_lanes_does_not_perturb_other_job_kinds() {
         );
     }
     for (i, plan) in plans.iter().enumerate() {
-        let per_rate = run_sweep_with(plan, 2, options(1));
-        let batched = run_sweep_with(plan, 2, options(0));
+        let per_rate = run_sweep_with(plan, 2, PER_RATE);
+        let batched = run_sweep_with(plan, 2, ExecOptions::default());
         assert_eq!(
             per_rate.to_csv(),
             batched.to_csv(),
-            "plan {i}: non-MSF exports diverged under batch_lanes"
+            "plan {i}: non-MSF exports diverged under per_rate"
         );
     }
 }
 
 #[test]
-fn record_traces_keeps_the_classic_path_whatever_batch_lanes_says() {
+fn record_traces_keeps_the_classic_path_whatever_per_rate_says() {
     let plan = SweepPlan::builder()
         .scenarios([av_scenarios::catalog::ScenarioId::CutOutFast])
         .jittered_variants(1)
@@ -101,11 +97,10 @@ fn record_traces_keeps_the_classic_path_whatever_batch_lanes_says() {
         1,
         ExecOptions {
             record_traces: true,
-            batch_lanes: 0,
-            seed_blocks: 0,
+            per_rate: false,
         },
     );
-    let per_rate = run_sweep_with(&plan, 1, options(1));
+    let per_rate = run_sweep_with(&plan, 1, PER_RATE);
     assert_eq!(
         recorded.to_csv(),
         per_rate.to_csv(),

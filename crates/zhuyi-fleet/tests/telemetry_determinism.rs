@@ -11,8 +11,8 @@ use std::sync::Arc;
 use av_scenarios::catalog::ScenarioId;
 use zhuyi_fleet::{run_sweep_with, ExecOptions, SweepPlan};
 
-/// Scenarios with distinct actor mixes, plus jittered variants so seed
-/// blocks hold real geometry diversity.
+/// Scenarios with distinct actor mixes, plus jittered variants for real
+/// geometry diversity.
 fn mixed_plan() -> SweepPlan {
     SweepPlan::builder()
         .scenarios([
@@ -65,11 +65,11 @@ fn deterministic_section_is_shard_count_independent_and_repeatable() {
 
 #[test]
 fn deterministic_section_is_execution_path_independent() {
-    // The per-seed, rate-batched, and seed-batched paths walk different
-    // loops but execute the same job set; phase-tick totals differ by
+    // The per-rate and rate-batched paths walk different loops but
+    // execute the same job set; phase-tick totals differ by
     // construction (batched loops lap once per shared tick), so this
     // pin is narrower: counters that count *jobs* must agree. Certificate
-    // declines legitimately differ (only batched paths attempt
+    // declines legitimately differ (only the batched path attempts
     // certificates), which is exactly why they are interesting to record.
     let plan = mixed_plan();
     let per_job = |options: ExecOptions| {
@@ -84,7 +84,7 @@ fn deterministic_section_is_execution_path_independent() {
     };
 
     let reference = per_job(ExecOptions {
-        batch_lanes: 1,
+        per_rate: true,
         ..ExecOptions::default()
     });
     assert_eq!(reference.0, plan.len() as u64);
@@ -92,13 +92,5 @@ fn deterministic_section_is_execution_path_independent() {
         per_job(ExecOptions::default()),
         reference,
         "rate-batched path recorded a different job set"
-    );
-    assert_eq!(
-        per_job(ExecOptions {
-            seed_blocks: 64,
-            ..ExecOptions::default()
-        }),
-        reference,
-        "seed-batched path recorded a different job set"
     );
 }

@@ -165,9 +165,8 @@ impl PhaseTimer {
     }
 }
 
-/// Per-job wall timer: start before executing, finish with the job id
-/// (or the ids of a whole seed block, which records the amortized
-/// per-job share). No-op when telemetry is off.
+/// Per-job wall timer: start before executing, finish with the job id.
+/// No-op when telemetry is off.
 #[derive(Debug)]
 pub struct JobTimer {
     started: Option<Instant>,
@@ -186,24 +185,6 @@ impl JobTimer {
         if let Some(started) = self.started {
             let micros = started.elapsed().as_micros() as u64;
             with(|t| t.record_job(job, micros));
-        }
-    }
-
-    /// Records the elapsed wall time split evenly across a seed block's
-    /// jobs — block execution is interleaved, so per-job attribution is
-    /// the documented amortized share.
-    pub fn finish_block(self, jobs: impl IntoIterator<Item = u64>) {
-        if let Some(started) = self.started {
-            let jobs: Vec<u64> = jobs.into_iter().collect();
-            if jobs.is_empty() {
-                return;
-            }
-            let micros = started.elapsed().as_micros() as u64 / jobs.len() as u64;
-            with(|t| {
-                for job in &jobs {
-                    t.record_job(*job, micros);
-                }
-            });
         }
     }
 }
@@ -259,16 +240,17 @@ mod tests {
     }
 
     #[test]
-    fn job_timer_splits_blocks_evenly() {
+    fn job_timer_records_jobs_in_id_order() {
         let registry = Arc::new(Registry::new());
         let _guard = install(&registry);
-        JobTimer::start().finish(7);
-        JobTimer::start().finish_block([1, 2, 3]);
+        for job in [7, 1, 3] {
+            JobTimer::start().finish(job);
+        }
         let snap = registry.snapshot();
-        assert_eq!(snap.jobs.len(), 4);
-        assert_eq!(snap.counters[Counter::JobsExecuted.index()], 4);
+        assert_eq!(snap.jobs.len(), 3);
+        assert_eq!(snap.counters[Counter::JobsExecuted.index()], 3);
         let ids: Vec<u64> = snap.jobs.iter().map(|&(id, _)| id).collect();
-        assert_eq!(ids, vec![1, 2, 3, 7]);
+        assert_eq!(ids, vec![1, 3, 7]);
     }
 
     #[test]

@@ -1,26 +1,26 @@
 //! Cross-path equivalence harness: the same fuzzed registry corpus must
-//! export byte-identical results through every execution path the fleet
-//! layer offers — the per-seed per-rate loop, the rate-batched lockstep
-//! loop (all candidate rates of one instance as lanes of one sim), and
-//! the seed×rate-batched loop (whole blocks of jittered instances, each
-//! with its own road geometry, advanced through one shared tick loop).
+//! export byte-identical results through both execution paths the fleet
+//! layer offers — the per-rate reference search (one closed-loop run per
+//! candidate rate) and the default rate-batched lockstep search (all
+//! candidate rates of one instance as lanes of one sim).
 //!
-//! The batched paths earn their speed from aggressive sharing (one actor
-//! step per tick for all rate lanes, interleaved groups over different
-//! roads) and from safe-suffix certificates retiring lanes early, so the
-//! pin here is deliberately end-to-end: CSV, JSON, and kept probe traces
-//! all compared as bytes over a 50+ scenario generated corpus. A second
-//! test drives the same corpus through the low-level seed-batched sweep
-//! API and asserts the certificate machinery actually fired both ways —
-//! retirements *and* declines — so the equivalence above can't pass by
-//! quietly skipping the interesting paths.
+//! The batched path earns its speed from aggressive sharing (one actor
+//! step per tick for all rate lanes) and from safe-suffix certificates
+//! retiring lanes early, so the pin here is deliberately end-to-end:
+//! CSV, JSON, and kept probe traces all compared as bytes over a 50+
+//! scenario generated corpus. A second test drives the same corpus
+//! through the low-level batched sweep API and asserts the certificate
+//! machinery actually fired both ways — retirements *and* declines — so
+//! the equivalence above can't pass by quietly skipping the interesting
+//! paths.
 
 use std::sync::Arc;
 
 use zhuyi_repro::core::units::Fpr;
 use zhuyi_repro::fleet::{run_sweep_with, ExecOptions, SweepPlan};
 use zhuyi_repro::registry::{FuzzConfig, ScenarioSource};
-use zhuyi_repro::scenarios::sweep::{collides_seed_batched_with_stats, SweepContext};
+use zhuyi_repro::scenarios::sweep::SweepContext;
+use zhuyi_repro::sim::batch::BatchStats;
 use zhuyi_repro::telemetry;
 
 /// The pinned corpus: `(prefix, count, seed)` fully determine the
@@ -46,10 +46,9 @@ fn corpus() -> Vec<ScenarioSource> {
 
 #[test]
 fn fuzzed_corpus_exports_identically_through_every_execution_path() {
-    // Two jitter seeds per scenario: seed blocks then hold genuinely
-    // different road geometry (jitter perturbs the road itself), and the
-    // fuzz templates make ~a quarter of the corpus curved, so blocks mix
-    // straight and curved groups in one lockstep loop.
+    // Two jitter seeds per scenario (jitter perturbs the road itself),
+    // and the fuzz templates make ~a quarter of the corpus curved, so
+    // both paths see straight and curved geometry.
     let plan = SweepPlan::builder()
         .sources(corpus())
         .seeds([0, 1])
@@ -57,59 +56,36 @@ fn fuzzed_corpus_exports_identically_through_every_execution_path() {
         .min_safe_fpr(GRID.to_vec())
         .build();
 
-    let per_seed = run_sweep_with(
+    let per_rate = run_sweep_with(
         &plan,
         2,
         ExecOptions {
-            batch_lanes: 1,
+            per_rate: true,
             ..ExecOptions::default()
         },
     );
-    let rate_batched = run_sweep_with(&plan, 2, ExecOptions::default());
-    let seed_rate_batched = run_sweep_with(
-        &plan,
-        2,
-        ExecOptions {
-            seed_blocks: 64,
-            ..ExecOptions::default()
-        },
-    );
+    let batched = run_sweep_with(&plan, 2, ExecOptions::default());
 
     assert_eq!(
-        per_seed.to_csv(),
-        rate_batched.to_csv(),
-        "rate-batched CSV diverged from the per-seed path"
+        per_rate.to_csv(),
+        batched.to_csv(),
+        "rate-batched CSV diverged from the per-rate path"
     );
     assert_eq!(
-        per_seed.to_csv(),
-        seed_rate_batched.to_csv(),
-        "seed-batched CSV diverged from the per-seed path"
+        per_rate.to_json(),
+        batched.to_json(),
+        "rate-batched JSON diverged from the per-rate path"
     );
+    // Probe jobs keep full traces; neither path batches them, but their
+    // bytes must still come out identical — file names and CSV contents
+    // both.
     assert_eq!(
-        per_seed.to_json(),
-        rate_batched.to_json(),
-        "rate-batched JSON diverged from the per-seed path"
-    );
-    assert_eq!(
-        per_seed.to_json(),
-        seed_rate_batched.to_json(),
-        "seed-batched JSON diverged from the per-seed path"
-    );
-    // Probe jobs keep full traces; they ride alone through the blocked
-    // path (only MSF jobs block), but their bytes must still come out
-    // identical — file names and CSV contents both.
-    assert_eq!(
-        per_seed.kept_traces(),
-        rate_batched.kept_traces(),
-        "rate-batched traces diverged from the per-seed path"
-    );
-    assert_eq!(
-        per_seed.kept_traces(),
-        seed_rate_batched.kept_traces(),
-        "seed-batched traces diverged from the per-seed path"
+        per_rate.kept_traces(),
+        batched.kept_traces(),
+        "rate-batched traces diverged from the per-rate path"
     );
     assert!(
-        !per_seed.kept_traces().is_empty(),
+        !per_rate.kept_traces().is_empty(),
         "trace comparison compared nothing"
     );
 }
@@ -120,18 +96,15 @@ fn telemetry_changes_no_exported_byte_and_records_the_sweep() {
     // swept with a registry installed must export the exact bytes of the
     // uninstrumented sweep — while the snapshot proves the sweep was
     // actually observed (phase ticks, certificate declines, one wall
-    // time per job). Seed blocks keep the certificate machinery (and so
-    // the decline counters) in play, per the test above.
+    // time per job). The default batched search keeps the certificate
+    // machinery (and so the decline counters) in play.
     let plan = SweepPlan::builder()
         .sources(corpus())
         .seeds([0, 1])
         .probe(30.0, true)
         .min_safe_fpr(GRID.to_vec())
         .build();
-    let options = ExecOptions {
-        seed_blocks: 64,
-        ..ExecOptions::default()
-    };
+    let options = ExecOptions::default();
 
     let off = run_sweep_with(&plan, 2, options);
     let registry = Arc::new(telemetry::Registry::new());
@@ -173,16 +146,22 @@ fn telemetry_changes_no_exported_byte_and_records_the_sweep() {
 }
 
 #[test]
-fn seed_batched_corpus_exercises_certificate_retirement_and_decline() {
-    // Same corpus, one group per scenario, every group in one lockstep
-    // loop. The stats must show both certificate outcomes: lanes retired
-    // early (the speed half) and attempts declined (the caution half) —
-    // otherwise the byte-equivalence above never stressed the paths
-    // where batched execution could actually diverge.
+fn batched_corpus_exercises_certificate_retirement_and_decline() {
+    // Same corpus, every instance's grid as one lockstep batch, cost
+    // accounting summed over the corpus. The stats must show both
+    // certificate outcomes: lanes retired early (the speed half) and
+    // attempts declined (the caution half) — otherwise the
+    // byte-equivalence above never stressed the paths where batched
+    // execution could actually diverge.
     let rates: Vec<Fpr> = GRID.iter().map(|&c| Fpr(f64::from(c))).collect();
-    let scenarios: Vec<_> = corpus().iter().map(|source| source.build(1)).collect();
-    let mut contexts: Vec<SweepContext> = scenarios.iter().map(SweepContext::new).collect();
-    let (verdicts, stats) = collides_seed_batched_with_stats(&mut contexts, &rates);
+    let mut verdicts: Vec<Vec<bool>> = Vec::new();
+    let mut stats = BatchStats::default();
+    for source in corpus() {
+        let scenario = source.build(1);
+        let (row, run) = SweepContext::new(&scenario).collides_batched_with_stats(&rates);
+        verdicts.push(row);
+        stats.merge(&run);
+    }
 
     assert_eq!(verdicts.len(), CORPUS_COUNT);
     assert!(
