@@ -29,8 +29,9 @@
 //! **Distributed modes.** `--dist` shards the sweep across `--workers N`
 //! spawned `fleet_shard` OS processes (plus any external workers when
 //! `--listen HOST:PORT` is given); exports stay byte-identical to the
-//! single-process run. `--checkpoint PATH` makes the run resumable and
-//! `--batch N` pins the shard size. `--connect HOST:PORT` turns this
+//! single-process run. `--checkpoint PATH` makes the run resumable (the
+//! file is a one-plan journal; an old pre-journal checkpoint is refused)
+//! and `--batch N` pins the shard size. `--connect HOST:PORT` turns this
 //! invocation into a *worker* that joins a coordinator elsewhere (the
 //! multi-host story: run `fleet_sweep --dist --listen` on one box and
 //! `fleet_sweep --connect` on the others).
@@ -247,7 +248,10 @@ fn parse_args() -> Result<Args, String> {
                 args.connect = Some(dcli::parse_addr("--connect", &value("--connect")?)?)
             }
             "--checkpoint" => {
-                args.checkpoint = Some(dcli::parse_checkpoint(&value("--checkpoint")?)?)
+                args.checkpoint = Some(dcli::parse_journal(
+                    "--checkpoint",
+                    &value("--checkpoint")?,
+                )?)
             }
             "--batch" => args.batch = Some(dcli::parse_batch(&value("--batch")?)?),
             "--chaos-seed" => {
@@ -268,7 +272,9 @@ fn parse_args() -> Result<Args, String> {
                 args.fail_after = Some(dcli::parse_fail_after(&value("--fail-after")?)?)
             }
             "--daemon" => args.daemon = true,
-            "--journal" => args.journal = Some(dcli::parse_journal(&value("--journal")?)?),
+            "--journal" => {
+                args.journal = Some(dcli::parse_journal("--journal", &value("--journal")?)?)
+            }
             "--submit" => args.submit = Some(dcli::parse_addr("--submit", &value("--submit")?)?),
             "--drain" => args.drain = true,
             "--max-queue" => args.max_queue = Some(dcli::parse_max_queue(&value("--max-queue")?)?),
@@ -496,7 +502,8 @@ fn usage() {
          DISTRIBUTION:\n\
          \x20 --dist            shard across --workers N spawned fleet_shard processes\n\
          \x20 --listen ADDR     (with --dist) also accept external workers on ADDR\n\
-         \x20 --checkpoint P    append completed jobs to P; resume P if it exists\n\
+         \x20 --checkpoint P    one-plan journal: completed jobs append to P, a rerun\n\
+         \x20                   resumes it; an old pre-journal checkpoint is refused\n\
          \x20 --batch N         jobs per shard (default: pending/(workers*4))\n\
          \x20 --connect ADDR    be a worker for the coordinator at ADDR instead\n\n\
          CHAOS / FAULT TOLERANCE (with --dist):\n\

@@ -48,16 +48,17 @@ pub fn parse_addr(flag: &str, spec: &str) -> Result<String, String> {
     }
 }
 
-/// Parses a `--checkpoint` value: a file path whose parent directory
-/// exists (the file itself may not yet — first runs create it).
+/// Parses a `--checkpoint` or `--journal` value: a journal path whose
+/// parent directory exists (the file itself may not yet — a first run
+/// creates it, a later one resumes it).
 ///
 /// # Errors
 ///
-/// A human-readable message for empty paths or missing parent
-/// directories.
-pub fn parse_checkpoint(spec: &str) -> Result<PathBuf, String> {
+/// A human-readable message, naming `flag`, for empty paths or missing
+/// parent directories.
+pub fn parse_journal(flag: &str, spec: &str) -> Result<PathBuf, String> {
     if spec.trim().is_empty() {
-        return Err("--checkpoint expects a file path".to_string());
+        return Err(format!("{flag} expects a file path"));
     }
     let path = PathBuf::from(spec);
     let parent = match path.parent() {
@@ -67,34 +68,7 @@ pub fn parse_checkpoint(spec: &str) -> Result<PathBuf, String> {
     };
     if !parent.is_dir() {
         return Err(format!(
-            "--checkpoint directory {} does not exist",
-            parent.display()
-        ));
-    }
-    Ok(path)
-}
-
-/// Parses a `--journal` value: the daemon's write-ahead log path, whose
-/// parent directory exists (the file itself may not yet — a fresh daemon
-/// creates it, a restarted one replays it).
-///
-/// # Errors
-///
-/// A human-readable message for empty paths or missing parent
-/// directories.
-pub fn parse_journal(spec: &str) -> Result<PathBuf, String> {
-    if spec.trim().is_empty() {
-        return Err("--journal expects a file path".to_string());
-    }
-    let path = PathBuf::from(spec);
-    let parent = match path.parent() {
-        None => std::path::Path::new("."),
-        Some(p) if p.as_os_str().is_empty() => std::path::Path::new("."),
-        Some(p) => p,
-    };
-    if !parent.is_dir() {
-        return Err(format!(
-            "--journal directory {} does not exist",
+            "{flag} directory {} does not exist",
             parent.display()
         ));
     }
@@ -573,11 +547,13 @@ mod tests {
 
     #[test]
     fn checkpoint_paths_need_an_existing_directory() {
-        assert!(parse_checkpoint("ckpt.bin").is_ok(), "cwd-relative is fine");
+        let parse = |spec| parse_journal("--checkpoint", spec);
+        assert!(parse("ckpt.bin").is_ok(), "cwd-relative is fine");
         let tmp = std::env::temp_dir().join("ckpt.bin");
-        assert!(parse_checkpoint(tmp.to_str().expect("utf-8 temp dir")).is_ok());
-        assert!(parse_checkpoint("").is_err());
-        let err = parse_checkpoint("/no/such/dir/anywhere/ckpt.bin").expect_err("missing dir");
+        assert!(parse(tmp.to_str().expect("utf-8 temp dir")).is_ok());
+        assert!(parse("").is_err());
+        let err = parse("/no/such/dir/anywhere/ckpt.bin").expect_err("missing dir");
+        assert!(err.contains("--checkpoint directory"), "{err}");
         assert!(err.contains("does not exist"), "{err}");
     }
 
@@ -913,9 +889,10 @@ mod tests {
         assert!(parse_retry_max("-1").is_err());
         assert_eq!(parse_retry_base_ms("100"), Ok(100));
         assert!(parse_retry_base_ms("0").is_err());
-        assert!(parse_journal("fleet.journal").is_ok());
-        assert!(parse_journal("").is_err());
-        let err = parse_journal("/no/such/dir/anywhere/fleet.journal").expect_err("missing dir");
+        assert!(parse_journal("--journal", "fleet.journal").is_ok());
+        assert!(parse_journal("--journal", "").is_err());
+        let err = parse_journal("--journal", "/no/such/dir/anywhere/fleet.journal")
+            .expect_err("missing dir");
         assert!(err.contains("does not exist"), "{err}");
     }
 

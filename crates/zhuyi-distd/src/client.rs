@@ -249,7 +249,7 @@ pub fn submit_plan(
     plan: &SweepPlan,
     options: ExecOptions,
 ) -> Result<SubmitOutcome, ClientError> {
-    let fingerprint = crate::checkpoint::plan_fingerprint(plan, options);
+    let fingerprint = crate::journal::plan_fingerprint(plan, options);
     match rpc(
         config,
         &Frame::Submit {

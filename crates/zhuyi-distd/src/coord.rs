@@ -1,6 +1,13 @@
-//! The sweep coordinator: shards a [`SweepPlan`] across worker processes,
-//! reassigns work on crashes, checkpoints completed jobs, and merges
-//! results deterministically.
+//! The scheduler, and [`run_distributed`]: one plan run as a one-plan
+//! daemon.
+//!
+//! The scheduler here is the crate's only scheduler. It executes every
+//! plan: the one plan `run_distributed` is given, and each plan a
+//! [`crate::daemon`] admits. Both run inside the daemon's service loop,
+//! the crate's only event loop. `run_distributed` admits its plan into
+//! that loop with drain already requested, so the loop exits when the
+//! plan completes; a `--dist` listener answers client sessions the way a
+//! draining daemon does.
 //!
 //! # Scheduler
 //!
@@ -14,6 +21,11 @@
 //! pure function of the job, and the merge keeps only the first result
 //! per id.
 //!
+//! Frames are credited by batch: a worker's `Result` or `JobFailed`
+//! counts only for the plan that owns the batch the worker is executing.
+//! A victim's late copy of a finished plan's job is dropped, never
+//! credited to a later plan that happens to have a job with the same id.
+//!
 //! # Worker lifecycle
 //!
 //! ```text
@@ -23,9 +35,9 @@
 //!                          │                │ heartbeat timeout
 //!                          ▼                ▼
 //!                        dead ◄──────── dead: shard's unfinished jobs
-//!                    (respawn if          requeue at the front
-//!                     coordinator-spawned
-//!                     and budget remains)
+//!                    (respawn while       requeue at the front
+//!                     work remains and
+//!                     budget allows)
 //! ```
 //!
 //! Crash detection is two-layered: a closed socket (EOF mid-read) is
@@ -35,14 +47,15 @@
 //! its ticker thread keeps beating, and since job execution is
 //! deterministic, a wedged job would wedge identically on any other
 //! worker; [`DistConfig::stall_timeout`] is the backstop that ends such
-//! a run with an explicit error. Workers the coordinator spawned itself
-//! are respawned (fresh, without fault-injection flags) while work
-//! remains and the respawn budget allows; externally joined workers are
-//! simply dropped.
+//! a run with an explicit error. Workers the loop spawned itself are
+//! respawned (fresh, without fault-injection flags) unless the loop is
+//! about to exit — that is, while it is not draining or while any plan
+//! is running or queued — and the respawn budget allows; externally
+//! joined workers are simply dropped.
 //!
 //! # Fault tolerance
 //!
-//! Beyond whole-worker crashes, the coordinator survives *per-job*
+//! Beyond whole-worker crashes, the scheduler survives *per-job*
 //! failures without aborting the sweep:
 //!
 //! - a worker's contained panic arrives as [`Frame::JobFailed`] and
@@ -63,6 +76,20 @@
 //!   executor corruption and fails the run loudly with
 //!   [`DistError::VerifyMismatch`].
 //!
+//! Deadlines, verify sampling and flight dumps are set only through
+//! [`DistConfig`]; daemon plans get stealing and strikes.
+//!
+//! # Checkpoints
+//!
+//! [`DistConfig::checkpoint`] is a one-plan [`crate::journal`]: a
+//! `Submitted` record, then one `Result` record per completed job, each
+//! flushed before the job is credited. An existing file is resumed —
+//! its results are credited, the rest execute — only if it holds exactly
+//! this plan. A file holding another plan fails with
+//! [`JournalError::PlanMismatch`], and a file in the retired pre-journal
+//! checkpoint format fails the journal's header check; either way the
+//! file is left byte-identical.
+//!
 //! # Determinism invariant
 //!
 //! The merged [`ResultStore`] is built exclusively from id-deduplicated
@@ -74,19 +101,20 @@
 //! exports stay byte-identical to a clean single-process run over the
 //! same surviving job set.
 
-use crate::checkpoint::{self, CheckpointError, CheckpointWriter};
+use crate::daemon::{self, Daemon};
 use crate::faultnet::{self, ChaosSpec};
+use crate::journal::{self, plan_fingerprint, JournalError, JournalRecord, JournalWriter};
 use crate::quarantine::{QuarantineEntry, QuarantineManifest};
-use crate::wire::{self, Frame, JobError, JobErrorKind, WireError, PROTOCOL_VERSION};
+use crate::wire::{self, Frame, JobError, JobErrorKind, PlanState};
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 use std::net::{Shutdown, TcpListener, TcpStream};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
-use zhuyi_fleet::{ExecOptions, JobId, JobResult, ResultStore, SweepJob, SweepPlan};
+use zhuyi_fleet::{ExecOptions, JobResult, ResultStore, SweepJob, SweepPlan};
 use zhuyi_telemetry::{Counter, FlightRecorder, Gauge, Registry, Snapshot};
 
 /// Configuration of one distributed sweep run.
@@ -99,11 +127,13 @@ pub struct DistConfig {
     /// of the current executable (see [`default_worker_binary`]).
     pub worker_binary: Option<PathBuf>,
     /// Additional listen address (`host:port`) for workers joining from
-    /// other processes or hosts via `--connect`. `None` binds an ephemeral
+    /// other processes or hosts via `--connect`; client sessions on it are
+    /// answered as by a draining daemon. `None` binds an ephemeral
     /// loopback port used only by spawned workers.
     pub listen: Option<String>,
-    /// Checkpoint file: completed jobs append here and an existing,
-    /// fingerprint-matching file is resumed instead of re-simulated.
+    /// Checkpoint file, a one-plan journal: completed jobs append here,
+    /// and an existing file holding this plan is resumed instead of
+    /// re-simulated (see the module docs).
     pub checkpoint: Option<PathBuf>,
     /// Sweep-wide execution options, forwarded to every worker.
     pub options: ExecOptions,
@@ -208,9 +238,10 @@ pub struct DistStats {
     pub batches_reassigned: usize,
     /// Jobs moved to an idle worker by tail stealing.
     pub jobs_stolen: usize,
-    /// Results discarded because another worker delivered the job first.
+    /// Results discarded because another worker delivered the job first,
+    /// or because no running plan owns the batch they came from.
     pub duplicate_results: usize,
-    /// Jobs recovered from the checkpoint instead of executed.
+    /// Jobs recovered from the checkpoint journal instead of executed.
     pub resumed_jobs: usize,
     /// Jobs executed (first results) this run.
     pub executed_jobs: usize,
@@ -258,8 +289,9 @@ pub enum DistError {
     NoWorkers(String),
     /// The worker binary could not be resolved.
     WorkerBinary(String),
-    /// Checkpoint file problems.
-    Checkpoint(CheckpointError),
+    /// Checkpoint journal problems, including a file that holds another
+    /// plan or is not a journal.
+    Checkpoint(JournalError),
     /// The `abort_after_results` test hook fired.
     Aborted {
         /// Fresh results recorded before aborting.
@@ -307,8 +339,8 @@ impl fmt::Display for DistError {
 
 impl std::error::Error for DistError {}
 
-impl From<CheckpointError> for DistError {
-    fn from(e: CheckpointError) -> Self {
+impl From<JournalError> for DistError {
+    fn from(e: JournalError) -> Self {
         DistError::Checkpoint(e)
     }
 }
@@ -373,37 +405,20 @@ pub(crate) fn lock_recovering<'a, T>(
     })
 }
 
-/// First retry delay after a failed respawn attempt; doubles per
-/// consecutive failure up to [`RESPAWN_BACKOFF_CEIL`].
-const RESPAWN_BACKOFF_FLOOR: Duration = Duration::from_millis(250);
-/// Upper bound on the respawn retry backoff.
-const RESPAWN_BACKOFF_CEIL: Duration = Duration::from_secs(2);
-
-enum Event {
-    Connected {
-        worker: WorkerId,
-        writer: TcpStream,
-        spawned: bool,
-        name: String,
-    },
-    Frame {
-        worker: WorkerId,
-        frame: Frame,
-    },
-    Disconnected {
-        worker: WorkerId,
-    },
-}
-
+/// A connected worker session.
 struct WorkerConn {
     writer: TcpStream,
     name: String,
     spawned: bool,
+    /// The batch the worker is executing. Its plan owns every `Result`
+    /// and `JobFailed` the worker sends until the matching `BatchDone`.
     busy: Option<u32>,
     last_seen: Instant,
 }
 
 struct Inflight {
+    /// Fingerprint of the plan this shard belongs to.
+    plan: u64,
     worker: WorkerId,
     remaining: BTreeMap<u64, SweepJob>,
     /// When this shard last yielded a result (or was assigned) — what
@@ -417,57 +432,98 @@ pub(crate) struct ChildSlot {
     pub(crate) exited: bool,
 }
 
-/// What a recorded strike did to the job.
-enum StrikeOutcome {
-    /// Below the limit: the job deserves another attempt.
-    Retry,
-    /// The strike limit was reached; the job is now quarantined.
-    Quarantined,
-    /// The job was already done or quarantined — the strike is moot.
-    Settled,
-}
-
-/// Everything the scheduling loop mutates, factored out so event handling
-/// stays in named methods instead of one giant match.
-struct Coordinator {
-    workers: BTreeMap<WorkerId, WorkerConn>,
-    /// Execution options stamped onto every [`Frame::Assign`] (v7 carries
-    /// them per-assignment, not per-session, so warm workers can serve
-    /// plans with different shapes).
+/// The plan being executed: its jobs, the results credited so far, and
+/// its fault ledgers.
+pub(crate) struct PlanRun {
+    pub(crate) fingerprint: u64,
     options: ExecOptions,
-    pending: VecDeque<Vec<SweepJob>>,
-    inflight: BTreeMap<u32, Inflight>,
-    done: BTreeMap<JobId, JobResult>,
-    next_batch: u32,
-    stats: DistStats,
-    checkpoint: Option<CheckpointWriter>,
-    total: usize,
-    /// Every plan job this run may execute, for requeues and the
-    /// quarantine manifest.
+    /// Every job of the plan, for requeues and the quarantine manifest.
     jobs_by_id: BTreeMap<u64, SweepJob>,
+    /// Credited results, resumed ones included.
+    pub(crate) results: BTreeMap<u64, JobResult>,
     /// Strikes recorded against jobs not (yet) quarantined.
     failures: BTreeMap<u64, Vec<JobError>>,
-    /// Jobs the sweep gave up on.
-    quarantined: BTreeMap<u64, QuarantineEntry>,
+    /// Jobs the plan gave up on.
+    pub(crate) quarantined: BTreeMap<u64, QuarantineEntry>,
     /// Duplicate-execution slots: `None` until the first result arrives,
     /// then its encoded bytes until the second confirms (and the entry
     /// is removed) or mismatches (and the run fails).
     verify_pending: BTreeMap<u64, Option<Vec<u8>>>,
-    max_job_failures: usize,
-    /// The coordinator's own registry (scheduling counters, gauges, and
+}
+
+impl PlanRun {
+    /// True while any job still needs executing: unfinished plan jobs,
+    /// or outstanding duplicate-execution copies.
+    fn outstanding(&self) -> bool {
+        self.results.len() + self.quarantined.len() < self.jobs_by_id.len()
+            || !self.verify_pending.is_empty()
+    }
+}
+
+/// The crate's one scheduler: the worker set, the shard queue and the
+/// in-flight ledger, executing one plan at a time. The daemon's service
+/// loop feeds it events.
+pub(crate) struct Scheduler {
+    config: DistConfig,
+    workers: BTreeMap<WorkerId, WorkerConn>,
+    /// The plan being executed, if any.
+    pub(crate) running: Option<PlanRun>,
+    /// Shards of the running plan waiting for a worker.
+    pending: VecDeque<Vec<SweepJob>>,
+    /// Assigned shards by batch id. A shard outlives its plan until its
+    /// worker reports `BatchDone` or is lost, so late frames can still be
+    /// traced to the plan that owns them.
+    inflight: BTreeMap<u32, Inflight>,
+    next_batch: u32,
+    pub(crate) stats: DistStats,
+    /// The scheduler's own registry (scheduling counters, gauges, and
     /// received-frame accounting); `None` when telemetry is off.
-    telemetry: Option<Arc<Registry>>,
+    pub(crate) telemetry: Option<Arc<Registry>>,
     /// Latest cumulative snapshot per worker, shared with the metrics
     /// endpoint thread. A worker's snapshot survives its death — the
     /// work it reported on still happened.
-    worker_metrics: Arc<Mutex<BTreeMap<WorkerId, Snapshot>>>,
+    pub(crate) worker_metrics: Arc<Mutex<BTreeMap<WorkerId, Snapshot>>>,
     /// Bounded ring of recent scheduling events, dumped on job panics,
     /// deadline strikes, and quarantines; `None` without a dump dir.
     flight: Option<(FlightRecorder, PathBuf)>,
 }
 
-impl Coordinator {
-    fn note(&self, counter: Counter) {
+impl Scheduler {
+    /// An idle scheduler with no workers and no plan.
+    ///
+    /// # Errors
+    ///
+    /// [`DistError::Io`] if the flight-dump directory cannot be created.
+    pub(crate) fn new(config: &DistConfig) -> Result<Self, DistError> {
+        let flight = match &config.flight_dir {
+            Some(dir) => {
+                std::fs::create_dir_all(dir)
+                    .map_err(|e| DistError::Io(format!("creating {}: {e}", dir.display())))?;
+                Some((
+                    FlightRecorder::new(FlightRecorder::DEFAULT_CAPACITY),
+                    dir.clone(),
+                ))
+            }
+            None => None,
+        };
+        // Metrics serving needs a registry to read even when plain
+        // collection was not requested.
+        let telemetry_on = config.telemetry || config.metrics_listen.is_some();
+        Ok(Self {
+            config: config.clone(),
+            workers: BTreeMap::new(),
+            running: None,
+            pending: VecDeque::new(),
+            inflight: BTreeMap::new(),
+            next_batch: 0,
+            stats: DistStats::default(),
+            telemetry: telemetry_on.then(|| Arc::new(Registry::new())),
+            worker_metrics: Arc::default(),
+            flight,
+        })
+    }
+
+    pub(crate) fn note(&self, counter: Counter) {
         if let Some(reg) = &self.telemetry {
             reg.inc(counter);
         }
@@ -498,57 +554,285 @@ impl Coordinator {
         }
     }
 
-    /// True while any job still needs executing: unfinished plan jobs,
-    /// or outstanding duplicate-execution copies.
-    fn work_outstanding(&self) -> bool {
-        self.done.len() + self.quarantined.len() < self.total || !self.verify_pending.is_empty()
+    /// Starts executing a plan. `results` are already credited; the rest
+    /// of `jobs` is chunked into shards.
+    pub(crate) fn start(
+        &mut self,
+        fingerprint: u64,
+        options: ExecOptions,
+        jobs: &[SweepJob],
+        results: BTreeMap<u64, JobResult>,
+    ) {
+        let pending_jobs: Vec<SweepJob> = jobs
+            .iter()
+            .filter(|j| !results.contains_key(&j.id.0))
+            .cloned()
+            .collect();
+        let batch_size = self
+            .config
+            .batch_size
+            .unwrap_or_else(|| default_batch_size(pending_jobs.len(), self.config.spawn_workers));
+        self.pending = chunk_batches(&pending_jobs, batch_size);
+
+        // Duplicate-execution sampling: the verify set is a pure function
+        // of (job id, plan fingerprint), so reruns of the same sweep
+        // verify the same jobs. Second copies ride at the back of the
+        // queue — the first-result-wins merge makes them invisible in the
+        // output, and the byte-compare in `handle_result` turns
+        // bit-determinism into a corruption detector.
+        let mut verify_pending = BTreeMap::new();
+        if self.config.verify_fraction > 0.0 {
+            let threshold = (self.config.verify_fraction.min(1.0) * 1_000_000.0) as u64;
+            let verify_jobs: Vec<SweepJob> = pending_jobs
+                .iter()
+                .filter(|j| faultnet::splitmix64(j.id.0 ^ fingerprint) % 1_000_000 < threshold)
+                .cloned()
+                .collect();
+            self.stats.verify_jobs += verify_jobs.len();
+            for job in &verify_jobs {
+                verify_pending.insert(job.id.0, None);
+            }
+            self.pending.extend(chunk_batches(&verify_jobs, batch_size));
+        }
+        self.running = Some(PlanRun {
+            fingerprint,
+            options,
+            jobs_by_id: jobs.iter().map(|j| (j.id.0, j.clone())).collect(),
+            results,
+            failures: BTreeMap::new(),
+            quarantined: BTreeMap::new(),
+            verify_pending,
+        });
+        self.dispatch_idle();
     }
 
-    /// Ingests one streamed result; returns whether it was fresh (first
-    /// for its id).
-    fn handle_result(&mut self, worker: WorkerId, result: JobResult) -> Result<bool, DistError> {
-        let id = result.job.id;
+    /// Takes the running plan once nothing of it is outstanding.
+    pub(crate) fn take_finished(&mut self) -> Option<PlanRun> {
+        if self.running.as_ref()?.outstanding() {
+            return None;
+        }
+        // Leftovers (a retry whose job was confirmed by its other copy)
+        // are moot once the plan is done.
+        self.pending.clear();
+        self.running.take()
+    }
+
+    /// The running plan's (credited, total) job counts.
+    pub(crate) fn progress(&self) -> (usize, usize) {
+        self.running
+            .as_ref()
+            .map_or((0, 0), |run| (run.results.len(), run.jobs_by_id.len()))
+    }
+
+    pub(crate) fn has_workers(&self) -> bool {
+        !self.workers.is_empty()
+    }
+
+    fn running_plan(&self) -> Option<u64> {
+        self.running.as_ref().map(|run| run.fingerprint)
+    }
+
+    /// The running plan, if it owns the batch `worker` is executing.
+    fn owner(&self, worker: WorkerId) -> Option<u64> {
+        let batch = self.workers.get(&worker)?.busy?;
+        let plan = self.inflight.get(&batch)?.plan;
+        (self.running_plan() == Some(plan)).then_some(plan)
+    }
+
+    /// Admits a worker that completed the handshake and gives it work.
+    pub(crate) fn connect(
+        &mut self,
+        worker: WorkerId,
+        writer: TcpStream,
+        spawned: bool,
+        name: String,
+    ) {
+        self.stats.workers_connected += 1;
+        self.note(Counter::WorkersConnected);
+        self.flight_note("connect", worker, None, name.clone());
+        self.workers.insert(
+            worker,
+            WorkerConn {
+                writer,
+                name,
+                spawned,
+                busy: None,
+                last_seen: Instant::now(),
+            },
+        );
+        self.dispatch(worker);
+    }
+
+    /// Handles one frame from a worker session. Returns whether it was
+    /// progress: a fresh result, or a contained failure that counted.
+    /// With a `journal`, a fresh result is appended to it before it is
+    /// credited.
+    ///
+    /// # Errors
+    ///
+    /// [`DistError::VerifyMismatch`] on a failed cross-check, and
+    /// [`DistError::Checkpoint`] if the journal append fails.
+    pub(crate) fn handle_frame(
+        &mut self,
+        worker: WorkerId,
+        frame: Frame,
+        journal: Option<&mut JournalWriter>,
+    ) -> Result<bool, DistError> {
+        if let Some(conn) = self.workers.get_mut(&worker) {
+            conn.last_seen = Instant::now();
+        }
+        match frame {
+            Frame::Heartbeat => {
+                // v6: echo the beat so the worker can sample its
+                // round-trip time (it ignores echoes when its own
+                // telemetry is off).
+                if let Some(conn) = self.workers.get_mut(&worker) {
+                    let _ = wire::write_frame(&mut conn.writer, &Frame::Heartbeat);
+                }
+            }
+            Frame::Metrics { snapshot } => {
+                // Snapshots are cumulative; the latest one per worker
+                // supersedes everything before it.
+                lock_recovering(&self.worker_metrics, self.telemetry.as_deref())
+                    .insert(worker, *snapshot);
+            }
+            Frame::Result { result } => return self.handle_result(worker, *result, journal),
+            Frame::JobFailed { job, error } => {
+                return Ok(self.handle_job_failed(worker, job, error))
+            }
+            Frame::BatchDone { batch } => self.batch_done(worker, batch),
+            // Workers never send anything else (coordinator-bound control
+            // frames, client-session frames): ignore rather than trust.
+            _ => {}
+        }
+        Ok(false)
+    }
+
+    /// Ingests one streamed result: journal first, then credit. Returns
+    /// whether it was fresh (first for its id in its plan).
+    fn handle_result(
+        &mut self,
+        worker: WorkerId,
+        result: JobResult,
+        journal: Option<&mut JournalWriter>,
+    ) -> Result<bool, DistError> {
+        let id = result.job.id.0;
+        let Some(fingerprint) = self.owner(worker) else {
+            // A copy from a finished plan's batch (or from a dropped
+            // worker): crediting it to the running plan could land it on
+            // a different job that shares the id.
+            self.stats.duplicate_results += 1;
+            return Ok(false);
+        };
+        let run = self
+            .running
+            .as_mut()
+            .expect("an owned batch has a running plan");
         // Quarantine is final: a straggler result for a quarantined job
         // (say, a wedged copy that eventually finished) is discarded so
         // the manifest and the completed set stay mutually exclusive.
-        if self.quarantined.contains_key(&id.0) {
+        if run.quarantined.contains_key(&id) {
             self.stats.duplicate_results += 1;
             return Ok(false);
         }
-        if let Some(slot) = self.verify_pending.get_mut(&id.0) {
-            let mut bytes = Vec::with_capacity(160);
-            wire::put_job_result(&mut bytes, &result);
-            match slot.take() {
-                None => *slot = Some(bytes),
-                Some(first) => {
-                    if first != bytes {
-                        return Err(DistError::VerifyMismatch { job: id.0 });
+        let verified = match run.verify_pending.get_mut(&id) {
+            None => false,
+            Some(slot) => {
+                let mut bytes = Vec::with_capacity(160);
+                wire::put_job_result(&mut bytes, &result);
+                match slot.take() {
+                    None => *slot = Some(bytes),
+                    Some(first) => {
+                        if first != bytes {
+                            return Err(DistError::VerifyMismatch { job: id });
+                        }
+                        self.stats.verify_confirmed += 1;
+                        run.verify_pending.remove(&id);
                     }
-                    self.stats.verify_confirmed += 1;
-                    self.verify_pending.remove(&id.0);
                 }
+                true
             }
+        };
+        let fresh = !run.results.contains_key(&id);
+        if verified {
             // Clear only the copy this worker reported on; the other
             // copy stays tracked so a crash still requeues it.
-            self.clear_copy(worker, id.0);
+            self.clear_copy(worker, id);
         } else {
-            for fl in self.inflight.values_mut() {
-                if fl.remaining.remove(&id.0).is_some() {
+            for fl in self
+                .inflight
+                .values_mut()
+                .filter(|fl| fl.plan == fingerprint)
+            {
+                if fl.remaining.remove(&id).is_some() {
                     fl.last_result = Instant::now();
                 }
             }
         }
-        if self.done.contains_key(&id) {
+        if !fresh {
             self.stats.duplicate_results += 1;
             return Ok(false);
         }
-        if let Some(writer) = &mut self.checkpoint {
-            writer.append(&result)?;
+        if let Some(journal) = journal {
+            journal.append(&JournalRecord::Result {
+                fingerprint,
+                result: Box::new(result.clone()),
+            })?;
         }
         self.stats.executed_jobs += 1;
-        self.flight_note("result", worker, Some(id.0), String::new());
-        self.done.insert(id, result);
+        self.flight_note("result", worker, Some(id), String::new());
+        if let Some(run) = &mut self.running {
+            run.results.insert(id, result);
+        }
         Ok(true)
+    }
+
+    /// Records a contained panic as a strike against `job`, requeueing
+    /// it below the limit. Returns whether the strike counted.
+    fn handle_job_failed(&mut self, worker: WorkerId, job: u64, error: JobError) -> bool {
+        if self.owner(worker).is_none() {
+            return false;
+        }
+        eprintln!(
+            "fleet coordinator: job {job} failed on worker {}: {error}",
+            self.workers.get(&worker).map_or("?", |c| c.name.as_str()),
+        );
+        self.clear_copy(worker, job);
+        self.note(Counter::PanicStrikes);
+        self.flight_note("job_failed", worker, Some(job), error.to_string());
+        self.flight_dump("panic", job);
+        if self.strike(job, error) {
+            // Retry rides at the back so healthy work drains first; a
+            // fresh worker (or the same one, later) gets another attempt.
+            if let Some(j) = self
+                .running
+                .as_ref()
+                .and_then(|run| run.jobs_by_id.get(&job).cloned())
+            {
+                self.pending.push_back(vec![j]);
+            }
+        }
+        self.dispatch_idle();
+        // A contained failure is still forward progress: the worker lives
+        // and the job is accounted for.
+        true
+    }
+
+    fn batch_done(&mut self, worker: WorkerId, batch: u32) {
+        if let Some(conn) = self.workers.get_mut(&worker) {
+            if conn.busy == Some(batch) {
+                conn.busy = None;
+            }
+        }
+        if let Some(fl) = self.inflight.remove(&batch) {
+            // Defensive: anything of the running plan not delivered and
+            // not stolen goes back on the queue.
+            if !fl.remaining.is_empty() && self.running_plan() == Some(fl.plan) {
+                self.pending
+                    .push_front(fl.remaining.into_values().collect());
+            }
+        }
+        self.dispatch(worker);
     }
 
     /// Removes the one assigned copy of `id` that `worker` just reported
@@ -564,31 +848,47 @@ impl Coordinator {
     }
 
     /// Records one strike against `id` and quarantines it at the limit.
-    fn strike(&mut self, id: u64, error: JobError) -> StrikeOutcome {
-        if self.done.contains_key(&JobId(id)) || self.quarantined.contains_key(&id) {
-            return StrikeOutcome::Settled;
+    /// Returns whether the job deserves another attempt: false once it
+    /// is quarantined, or if it was already done or quarantined.
+    fn strike(&mut self, id: u64, error: JobError) -> bool {
+        let Some(run) = self.running.as_mut() else {
+            return false;
+        };
+        if run.results.contains_key(&id) || run.quarantined.contains_key(&id) {
+            return false;
         }
         self.stats.job_failures += 1;
-        let strikes = self.failures.entry(id).or_default();
+        let strikes = run.failures.entry(id).or_default();
         strikes.push(error);
-        if strikes.len() >= self.max_job_failures {
+        let retry = strikes.len() < self.config.max_job_failures.max(1);
+        if !retry {
             self.quarantine(id);
-            StrikeOutcome::Quarantined
-        } else {
-            StrikeOutcome::Retry
         }
+        retry
     }
 
-    /// Pulls `id` out of the sweep entirely: every queued copy dropped,
-    /// every assigned copy revoked, the verify slot cancelled, and the
-    /// job recorded in the manifest with its strikes.
+    /// Pulls `id` out of the running plan entirely: every queued copy
+    /// dropped, every assigned copy revoked, the verify slot cancelled,
+    /// and the job recorded in the manifest with its strikes.
     fn quarantine(&mut self, id: u64) {
-        let strikes = self.failures.remove(&id).unwrap_or_default();
+        let Some(run) = self.running.as_mut() else {
+            return;
+        };
+        let strikes = run.failures.remove(&id).unwrap_or_default();
         eprintln!(
             "fleet coordinator: quarantining job {id} after {} strike(s); last: {}",
             strikes.len(),
             strikes.last().map_or_else(String::new, |s| s.to_string()),
         );
+        let count = strikes.len();
+        run.verify_pending.remove(&id);
+        let job = run
+            .jobs_by_id
+            .get(&id)
+            .cloned()
+            .expect("a struck job is always a plan job");
+        run.quarantined.insert(id, QuarantineEntry { job, strikes });
+        let plan = run.fingerprint;
         for batch in &mut self.pending {
             batch.retain(|j| j.id.0 != id);
         }
@@ -596,6 +896,7 @@ impl Coordinator {
         let holders: Vec<WorkerId> = self
             .inflight
             .values_mut()
+            .filter(|fl| fl.plan == plan)
             .filter_map(|fl| fl.remaining.remove(&id).map(|_| fl.worker))
             .collect();
         for worker in holders {
@@ -603,32 +904,19 @@ impl Coordinator {
                 let _ = wire::write_frame(&mut conn.writer, &Frame::Revoke { jobs: vec![id] });
             }
         }
-        self.verify_pending.remove(&id);
-        let job = self
-            .jobs_by_id
-            .get(&id)
-            .cloned()
-            .expect("a struck job is always a plan job");
         self.stats.jobs_quarantined += 1;
         self.note(Counter::QuarantinedJobs);
-        self.flight_note(
-            "quarantine",
-            0,
-            Some(id),
-            format!("{} strike(s)", strikes.len()),
-        );
+        self.flight_note("quarantine", 0, Some(id), format!("{count} strike(s)"));
         self.flight_dump("quarantine", id);
-        self.quarantined
-            .insert(id, QuarantineEntry { job, strikes });
     }
 
     /// Gives `worker` its next shard: pull from the queue, or steal the
-    /// tail half of the busiest in-flight shard.
+    /// tail half of the running plan's busiest in-flight shard.
     fn dispatch(&mut self, worker: WorkerId) {
-        let Some(conn) = self.workers.get(&worker) else {
+        let Some(plan) = self.running_plan() else {
             return;
         };
-        if conn.busy.is_some() {
+        if self.workers.get(&worker).is_none_or(|c| c.busy.is_some()) {
             return;
         }
         if let Some(jobs) = self.pending.pop_front() {
@@ -640,7 +928,7 @@ impl Coordinator {
         let victim = self
             .inflight
             .iter()
-            .filter(|(_, fl)| fl.worker != worker && fl.remaining.len() >= 2)
+            .filter(|(_, fl)| fl.plan == plan && fl.worker != worker && fl.remaining.len() >= 2)
             .max_by_key(|(_, fl)| fl.remaining.len())
             .map(|(&batch, _)| batch);
         let Some(victim_batch) = victim else {
@@ -681,13 +969,17 @@ impl Coordinator {
     }
 
     fn assign(&mut self, worker: WorkerId, jobs: Vec<SweepJob>) {
+        let Some((plan, options)) = self.running.as_ref().map(|r| (r.fingerprint, r.options))
+        else {
+            return;
+        };
         let batch = self.next_batch;
         self.next_batch += 1;
         let Some(conn) = self.workers.get_mut(&worker) else {
             self.pending.push_front(jobs);
             return;
         };
-        if wire::write_assign(&mut conn.writer, batch, self.options, &jobs).is_err() {
+        if wire::write_assign(&mut conn.writer, batch, options, &jobs).is_err() {
             self.pending.push_front(jobs);
             self.lose_worker(worker);
             return;
@@ -698,6 +990,7 @@ impl Coordinator {
         self.inflight.insert(
             batch,
             Inflight {
+                plan,
                 worker,
                 remaining: jobs.into_iter().map(|j| (j.id.0, j)).collect(),
                 last_result: Instant::now(),
@@ -705,20 +998,22 @@ impl Coordinator {
         );
     }
 
-    /// Removes a worker and requeues the unfinished jobs of its shards.
-    /// Returns the worker's name if the coordinator spawned its process
-    /// (so the caller can kill a wedged child and trigger a respawn).
-    fn lose_worker(&mut self, worker: WorkerId) -> Option<String> {
+    /// Removes a worker and requeues the running plan's unfinished jobs
+    /// of its shards. Returns the worker's name if the loop spawned its
+    /// process (so the caller can kill a wedged child and trigger a
+    /// respawn).
+    pub(crate) fn lose_worker(&mut self, worker: WorkerId) -> Option<String> {
         let conn = self.workers.remove(&worker)?;
         let _ = conn.writer.shutdown(Shutdown::Both);
         self.stats.workers_lost += 1;
         self.note(Counter::WorkersLost);
         self.flight_note("worker_lost", worker, None, conn.name.clone());
         eprintln!(
-            "fleet coordinator: lost {}worker {} mid-sweep; reassigning its shard",
+            "fleet coordinator: lost {}worker {}; reassigning its shard",
             if conn.spawned { "spawned " } else { "" },
             conn.name,
         );
+        let plan = self.running_plan();
         let orphaned: Vec<u32> = self
             .inflight
             .iter()
@@ -727,7 +1022,7 @@ impl Coordinator {
             .collect();
         for batch in orphaned {
             let fl = self.inflight.remove(&batch).expect("batch listed");
-            if !fl.remaining.is_empty() {
+            if !fl.remaining.is_empty() && plan == Some(fl.plan) {
                 self.stats.batches_reassigned += 1;
                 self.pending
                     .push_front(fl.remaining.into_values().collect());
@@ -736,7 +1031,7 @@ impl Coordinator {
         conn.spawned.then_some(conn.name)
     }
 
-    fn dispatch_idle(&mut self) {
+    pub(crate) fn dispatch_idle(&mut self) {
         let idle: Vec<WorkerId> = self
             .workers
             .iter()
@@ -748,7 +1043,74 @@ impl Coordinator {
         }
     }
 
-    fn shutdown_workers(&mut self) {
+    /// Drops workers silent past the heartbeat timeout, and enforces the
+    /// per-job deadline: a shard that stops yielding results is stuck on
+    /// its first remaining id (in-shard execution is serial and
+    /// id-ordered), so that job gets a strike and the worker — which may
+    /// be wedged in a loop its heartbeat thread happily outlives — is
+    /// dropped. Returns the names of spawned workers dropped by a
+    /// deadline (the caller kills them, which routes them through the
+    /// ordinary crash-respawn path) and whether any deadline struck.
+    pub(crate) fn expire(&mut self) -> (Vec<String>, bool) {
+        let timed_out: Vec<WorkerId> = self
+            .workers
+            .iter()
+            .filter(|(_, c)| c.last_seen.elapsed() > self.config.heartbeat_timeout)
+            .map(|(&id, _)| id)
+            .collect();
+        for worker in timed_out {
+            self.lose_worker(worker);
+        }
+        let (Some(deadline), Some(plan)) = (self.config.job_deadline, self.running_plan()) else {
+            return (Vec::new(), false);
+        };
+        let expired: Vec<u32> = self
+            .inflight
+            .iter()
+            .filter(|(_, fl)| {
+                fl.plan == plan && !fl.remaining.is_empty() && fl.last_result.elapsed() > deadline
+            })
+            .map(|(&batch, _)| batch)
+            .collect();
+        let struck = !expired.is_empty();
+        let mut killed = Vec::new();
+        for batch in expired {
+            let Some(fl) = self.inflight.get(&batch) else {
+                continue;
+            };
+            let stuck = *fl.remaining.keys().next().expect("filtered non-empty");
+            let victim = fl.worker;
+            self.stats.deadline_strikes += 1;
+            let detail = format!(
+                "no result within {deadline:?} on worker {}",
+                self.workers.get(&victim).map_or("?", |c| c.name.as_str()),
+            );
+            self.note(Counter::DeadlineStrikes);
+            self.flight_note("deadline", victim, Some(stuck), detail.clone());
+            self.flight_dump("deadline", stuck);
+            self.strike(
+                stuck,
+                JobError {
+                    kind: JobErrorKind::Deadline,
+                    detail,
+                },
+            );
+            killed.extend(self.lose_worker(victim));
+        }
+        (killed, struck)
+    }
+
+    /// Publishes the scheduling gauges (no-op without telemetry).
+    pub(crate) fn set_gauges(&self, queued_plans: usize) {
+        if let Some(reg) = &self.telemetry {
+            reg.set_gauge(Gauge::LiveWorkers, self.workers.len() as u64);
+            reg.set_gauge(Gauge::PendingBatches, self.pending.len() as u64);
+            reg.set_gauge(Gauge::InflightBatches, self.inflight.len() as u64);
+            reg.set_gauge(Gauge::QueuedPlans, queued_plans as u64);
+        }
+    }
+
+    pub(crate) fn shutdown_workers(&mut self) {
         for conn in self.workers.values_mut() {
             // Send the frame but do not hard-close the socket: a worker
             // may still be flushing its final BatchDone, and exits
@@ -757,26 +1119,46 @@ impl Coordinator {
         }
         self.workers.clear();
     }
+
+    /// The scheduler's registry folded with the final cumulative snapshot
+    /// of every worker, in worker-id order — deterministic regardless of
+    /// the order snapshots arrived in.
+    pub(crate) fn folded_telemetry(&self) -> Option<Snapshot> {
+        self.telemetry.as_ref().map(|reg| {
+            let mut folded = reg.snapshot();
+            for snap in lock_recovering(&self.worker_metrics, Some(reg)).values() {
+                folded.merge(snap);
+            }
+            folded
+        })
+    }
 }
 
+/// Starts one worker process: exactly `--connect ADDR --name NAME
+/// --spawned`, then `extra`.
 pub(crate) fn spawn_worker(
     binary: &PathBuf,
     addr: &str,
-    name: &str,
+    name: String,
     extra: &[String],
-) -> Result<Child, DistError> {
-    Command::new(binary)
+) -> Result<ChildSlot, DistError> {
+    let child = Command::new(binary)
         .arg("--connect")
         .arg(addr)
         .arg("--name")
-        .arg(name)
+        .arg(&name)
         .arg("--spawned")
         .args(extra)
         .stdin(Stdio::null())
         .stdout(Stdio::null())
         .stderr(Stdio::inherit())
         .spawn()
-        .map_err(|e| DistError::Io(format!("spawning {}: {e}", binary.display())))
+        .map_err(|e| DistError::Io(format!("spawning {}: {e}", binary.display())))?;
+    Ok(ChildSlot {
+        name,
+        child,
+        exited: false,
+    })
 }
 
 pub(crate) fn reap_children(children: &mut [ChildSlot]) {
@@ -809,6 +1191,53 @@ pub(crate) fn reap_children(children: &mut [ChildSlot]) {
     }
 }
 
+/// The journal client name of a `--dist` plan.
+const DIST_CLIENT: &str = "dist";
+
+/// Opens a checkpoint as a one-plan journal and returns its writer and
+/// the results to resume. A new file gets the plan's `Submitted` record.
+/// An existing file must hold exactly this plan; it is compacted only
+/// after every check passed.
+fn open_checkpoint(
+    path: &Path,
+    plan: &SweepPlan,
+    options: ExecOptions,
+    fingerprint: u64,
+) -> Result<(JournalWriter, Vec<JobResult>), JournalError> {
+    let mut plans = if path.exists() {
+        journal::replay(&journal::load(path)?)
+    } else {
+        Vec::new()
+    };
+    let Some(mut resumed) = plans.pop() else {
+        let mut writer = JournalWriter::create(path)?;
+        writer.append(&JournalRecord::Submitted {
+            fingerprint,
+            client: DIST_CLIENT.to_string(),
+            options,
+            jobs: plan.jobs().to_vec(),
+        })?;
+        return Ok((writer, Vec::new()));
+    };
+    if !plans.is_empty() {
+        return Err(JournalError::Corrupt(format!(
+            "a checkpoint holds one plan, this journal holds {}",
+            plans.len() + 1
+        )));
+    }
+    if resumed.fingerprint != fingerprint {
+        return Err(JournalError::PlanMismatch {
+            found: resumed.fingerprint,
+            expected: fingerprint,
+        });
+    }
+    // Whatever the last run did not finish (quarantined jobs included)
+    // runs again; this run journals its own `Completed`.
+    resumed.completed = false;
+    let writer = JournalWriter::resume(path, &resumed.to_records())?;
+    Ok((writer, resumed.results))
+}
+
 /// Runs every job of `plan` across worker processes and merges the
 /// results; see the module docs for scheduling, fault handling, and the
 /// determinism invariant.
@@ -823,525 +1252,51 @@ pub fn run_distributed(plan: &SweepPlan, config: &DistConfig) -> Result<DistRepo
             "spawn_workers is 0 and no listen address accepts external workers".into(),
         ));
     }
-
-    let fingerprint = checkpoint::plan_fingerprint(plan, config.options);
-    // Metrics serving needs a registry to read even when plain collection
-    // was not requested.
-    let telemetry_on = config.telemetry || config.metrics_listen.is_some();
-    let registry = telemetry_on.then(|| Arc::new(Registry::new()));
-    let worker_metrics: Arc<Mutex<BTreeMap<WorkerId, Snapshot>>> =
-        Arc::new(Mutex::new(BTreeMap::new()));
-    let flight = match &config.flight_dir {
-        Some(dir) => {
-            std::fs::create_dir_all(dir)
-                .map_err(|e| DistError::Io(format!("creating {}: {e}", dir.display())))?;
-            Some((
-                FlightRecorder::new(FlightRecorder::DEFAULT_CAPACITY),
-                dir.clone(),
-            ))
+    let fingerprint = plan_fingerprint(plan, config.options);
+    let mut scheduler = Scheduler::new(config)?;
+    let (journal, resumed) = match &config.checkpoint {
+        Some(path) => {
+            let (writer, resumed) = open_checkpoint(path, plan, config.options, fingerprint)?;
+            (Some(writer), resumed)
         }
-        None => None,
+        None => (None, Vec::new()),
     };
-    let mut coordinator = Coordinator {
-        workers: BTreeMap::new(),
-        options: config.options,
-        pending: VecDeque::new(),
-        inflight: BTreeMap::new(),
-        done: BTreeMap::new(),
-        next_batch: 0,
-        stats: DistStats::default(),
-        checkpoint: None,
-        total: plan.len(),
-        jobs_by_id: BTreeMap::new(),
-        failures: BTreeMap::new(),
-        quarantined: BTreeMap::new(),
-        verify_pending: BTreeMap::new(),
-        max_job_failures: config.max_job_failures.max(1),
-        telemetry: registry.clone(),
-        worker_metrics: Arc::clone(&worker_metrics),
-        flight,
-    };
+    scheduler.stats.resumed_jobs = resumed.len();
 
-    if let Some(path) = &config.checkpoint {
-        if path.exists() {
-            let loaded = checkpoint::load(path, fingerprint)?;
-            coordinator.stats.resumed_jobs = loaded.len();
-            coordinator.checkpoint = Some(CheckpointWriter::resume(path, &loaded, fingerprint)?);
-            for result in loaded {
-                coordinator.done.insert(result.job.id, result);
-            }
-        } else {
-            coordinator.checkpoint = Some(CheckpointWriter::create(path, fingerprint)?);
-        }
+    // A one-plan daemon: the plan is admitted, drain is already
+    // requested, nothing expires while it runs, and its results are
+    // collected here rather than fetched by a client.
+    let mut daemon = Daemon::new(scheduler, journal, 0, Duration::MAX);
+    daemon.admit(
+        fingerprint,
+        DIST_CLIENT,
+        config.options,
+        plan.jobs().to_vec(),
+        resumed,
+        PlanState::Queued,
+    );
+    daemon.draining = true;
+    daemon.holds_results = false;
+    // A fully checkpointed plan completes right here, before any socket
+    // opens or worker spawns.
+    daemon.start_next_plan();
+    if !daemon.settled() {
+        let listener = match &config.listen {
+            Some(addr) => TcpListener::bind(addr)
+                .map_err(|e| DistError::Io(format!("binding {addr}: {e}")))?,
+            None => TcpListener::bind("127.0.0.1:0")
+                .map_err(|e| DistError::Io(format!("binding loopback: {e}")))?,
+        };
+        daemon::serve(&mut daemon, listener, config)?;
     }
-
-    let pending_jobs: Vec<SweepJob> = plan
-        .jobs()
-        .iter()
-        .filter(|j| !coordinator.done.contains_key(&j.id))
-        .cloned()
-        .collect();
-    if pending_jobs.is_empty() {
-        return Ok(DistReport {
-            store: ResultStore::new(coordinator.done.into_values().collect()),
-            stats: coordinator.stats,
-            quarantine: QuarantineManifest::default(),
-            // Everything came from the checkpoint; nothing executed, so
-            // the registry (if any) is empty but well-formed.
-            telemetry: registry.as_ref().map(|reg| reg.snapshot()),
-        });
-    }
-    coordinator.jobs_by_id = pending_jobs.iter().map(|j| (j.id.0, j.clone())).collect();
-    let batch_size = config
-        .batch_size
-        .unwrap_or_else(|| default_batch_size(pending_jobs.len(), config.spawn_workers));
-    coordinator.pending = chunk_batches(&pending_jobs, batch_size);
-
-    // Duplicate-execution sampling: the verify set is a pure function of
-    // (job id, plan fingerprint), so reruns of the same sweep verify the
-    // same jobs. Second copies ride at the back of the queue — the
-    // first-result-wins merge makes them invisible in the output, and
-    // the byte-compare in `handle_result` turns bit-determinism into a
-    // corruption detector.
-    if config.verify_fraction > 0.0 {
-        let threshold = (config.verify_fraction.min(1.0) * 1_000_000.0) as u64;
-        let verify_jobs: Vec<SweepJob> = pending_jobs
-            .iter()
-            .filter(|j| faultnet::splitmix64(j.id.0 ^ fingerprint) % 1_000_000 < threshold)
-            .cloned()
-            .collect();
-        coordinator.stats.verify_jobs = verify_jobs.len();
-        for job in &verify_jobs {
-            coordinator.verify_pending.insert(job.id.0, None);
-        }
-        for batch in chunk_batches(&verify_jobs, batch_size) {
-            coordinator.pending.push_back(batch);
-        }
-    }
-
-    // --- plumbing: listener, accept/reader threads, spawned children. ---
-    let listener = match &config.listen {
-        Some(addr) => {
-            TcpListener::bind(addr).map_err(|e| DistError::Io(format!("binding {addr}: {e}")))?
-        }
-        None => TcpListener::bind("127.0.0.1:0")
-            .map_err(|e| DistError::Io(format!("binding loopback: {e}")))?,
-    };
-    let bound = listener
-        .local_addr()
-        .map_err(|e| DistError::Io(format!("local_addr: {e}")))?;
-    // Spawned workers (and the shutdown self-connect that unblocks the
-    // accept loop) must dial a *routable* address: a wildcard bind like
-    // 0.0.0.0:7700 is a listen address, not a destination, so map it to
-    // the same-family loopback with the bound port.
-    let local_addr = routable_addr(bound);
-
-    // The live metrics endpoint: a plaintext Prometheus-style exposition
-    // of the coordinator registry folded with the latest worker
-    // snapshots, served for the duration of the run.
-    let metrics = match &config.metrics_listen {
-        Some(addr) => {
-            let metrics_listener = TcpListener::bind(addr)
-                .map_err(|e| DistError::Io(format!("binding metrics {addr}: {e}")))?;
-            let metrics_addr = routable_addr(
-                metrics_listener
-                    .local_addr()
-                    .map_err(|e| DistError::Io(format!("metrics local_addr: {e}")))?,
-            );
-            let metrics_stop = Arc::new(AtomicBool::new(false));
-            {
-                let reg = Arc::clone(registry.as_ref().expect("metrics imply a registry"));
-                let worker_metrics = Arc::clone(&worker_metrics);
-                let stop = Arc::clone(&metrics_stop);
-                std::thread::spawn(move || {
-                    serve_metrics(&metrics_listener, &reg, &worker_metrics, &stop)
-                });
-            }
-            Some((metrics_addr, metrics_stop))
-        }
-        None => None,
-    };
-
-    let (events_tx, events_rx) = mpsc::channel::<Event>();
-    let stop = Arc::new(AtomicBool::new(false));
-    {
-        let events_tx = events_tx.clone();
-        let stop = Arc::clone(&stop);
-        let registry = registry.clone();
-        let telemetry_flag = config.telemetry;
-        let listener = listener
-            .try_clone()
-            .map_err(|e| DistError::Io(format!("cloning listener: {e}")))?;
-        std::thread::spawn(move || {
-            let mut next_worker: WorkerId = 0;
-            loop {
-                let Ok((stream, _)) = listener.accept() else {
-                    return;
-                };
-                if stop.load(Ordering::SeqCst) {
-                    return;
-                }
-                let worker = next_worker;
-                next_worker += 1;
-                let events_tx = events_tx.clone();
-                let registry = registry.clone();
-                std::thread::spawn(move || {
-                    serve_connection(stream, worker, telemetry_flag, registry, &events_tx);
-                });
-            }
-        });
-    }
-
-    // Teardown shared by every exit path below — the accept thread,
-    // bound ports, metrics server, and spawned children must never
-    // outlive this call, even when setup itself fails partway.
-    let finish = |coordinator: &mut Coordinator,
-                  children: &mut Vec<ChildSlot>,
-                  stop: &AtomicBool,
-                  local_addr: &str| {
-        coordinator.shutdown_workers();
-        stop.store(true, Ordering::SeqCst);
-        // Unblock the accept loop so its thread exits.
-        let _ = TcpStream::connect(local_addr);
-        if let Some((metrics_addr, metrics_stop)) = &metrics {
-            metrics_stop.store(true, Ordering::SeqCst);
-            let _ = TcpStream::connect(metrics_addr);
-        }
-        reap_children(children);
-    };
-
-    let mut children: Vec<ChildSlot> = Vec::new();
-    let mut spawned_total = 0usize;
-    let binary = if config.spawn_workers > 0 {
-        match &config.worker_binary {
-            Some(path) => Some(path.clone()),
-            None => match default_worker_binary() {
-                Ok(path) => Some(path),
-                Err(message) => {
-                    finish(&mut coordinator, &mut children, &stop, &local_addr);
-                    return Err(DistError::WorkerBinary(message));
-                }
-            },
-        }
-    } else {
-        None
-    };
-    for k in 0..config.spawn_workers {
-        let mut extra = config.worker_extra_args.get(k).cloned().unwrap_or_default();
-        if let Some(chaos) = config.chaos {
-            extra.extend([
-                "--chaos-seed".to_string(),
-                faultnet::derive_worker_seed(chaos.seed, k as u64).to_string(),
-                "--chaos-profile".to_string(),
-                chaos.profile.name.to_string(),
-            ]);
-        }
-        let name = format!("spawned-{k}");
-        match spawn_worker(
-            binary.as_ref().expect("binary resolved when spawning"),
-            &local_addr,
-            &name,
-            &extra,
-        ) {
-            Ok(child) => {
-                children.push(ChildSlot {
-                    name,
-                    child,
-                    exited: false,
-                });
-                spawned_total += 1;
-            }
-            Err(e) => {
-                finish(&mut coordinator, &mut children, &stop, &local_addr);
-                return Err(e);
-            }
-        }
-    }
-
-    // --- the scheduling loop. -------------------------------------------
-    let mut respawns_used = 0usize;
-    let mut respawn_queue = 0usize;
-    let mut respawn_backoff = RESPAWN_BACKOFF_FLOOR;
-    let mut next_respawn_at = Instant::now();
-    let mut last_progress = Instant::now();
-    let result: Result<(), DistError> = loop {
-        if !coordinator.work_outstanding() {
-            break Ok(());
-        }
-        match events_rx.recv_timeout(Duration::from_millis(200)) {
-            Ok(Event::Connected {
-                worker,
-                writer,
-                spawned,
-                name,
-            }) => {
-                coordinator.stats.workers_connected += 1;
-                coordinator.note(Counter::WorkersConnected);
-                coordinator.flight_note("connect", worker, None, name.clone());
-                coordinator.workers.insert(
-                    worker,
-                    WorkerConn {
-                        writer,
-                        name,
-                        spawned,
-                        busy: None,
-                        last_seen: Instant::now(),
-                    },
-                );
-                coordinator.dispatch(worker);
-            }
-            Ok(Event::Frame { worker, frame }) => {
-                if let Some(conn) = coordinator.workers.get_mut(&worker) {
-                    conn.last_seen = Instant::now();
-                }
-                match frame {
-                    Frame::Heartbeat => {
-                        // v6: echo the beat so the worker can sample its
-                        // round-trip time (it ignores echoes when its own
-                        // telemetry is off).
-                        if let Some(conn) = coordinator.workers.get_mut(&worker) {
-                            let _ = wire::write_frame(&mut conn.writer, &Frame::Heartbeat);
-                        }
-                    }
-                    Frame::Metrics { snapshot } => {
-                        // Snapshots are cumulative; the latest one per
-                        // worker supersedes everything before it.
-                        lock_recovering(
-                            &coordinator.worker_metrics,
-                            coordinator.telemetry.as_deref(),
-                        )
-                        .insert(worker, *snapshot);
-                    }
-                    Frame::Result { result } => {
-                        match coordinator.handle_result(worker, *result) {
-                            Ok(fresh) => {
-                                if fresh {
-                                    last_progress = Instant::now();
-                                }
-                            }
-                            Err(e) => break Err(e),
-                        }
-                        if let Some(limit) = config.abort_after_results {
-                            if coordinator.stats.executed_jobs >= limit {
-                                break Err(DistError::Aborted {
-                                    completed: coordinator.stats.executed_jobs,
-                                });
-                            }
-                        }
-                    }
-                    Frame::JobFailed { job, error } => {
-                        eprintln!(
-                            "fleet coordinator: job {job} failed on worker {}: {error}",
-                            coordinator
-                                .workers
-                                .get(&worker)
-                                .map_or("?", |c| c.name.as_str()),
-                        );
-                        coordinator.clear_copy(worker, job);
-                        coordinator.note(Counter::PanicStrikes);
-                        coordinator.flight_note("job_failed", worker, Some(job), error.to_string());
-                        coordinator.flight_dump("panic", job);
-                        if matches!(coordinator.strike(job, error), StrikeOutcome::Retry) {
-                            // Retry rides at the back so healthy work
-                            // drains first; a fresh worker (or the same
-                            // one, later) gets another attempt.
-                            if let Some(j) = coordinator.jobs_by_id.get(&job).cloned() {
-                                coordinator.pending.push_back(vec![j]);
-                            }
-                        }
-                        coordinator.dispatch_idle();
-                        // A contained failure is still forward progress:
-                        // the worker lives and the job is accounted for.
-                        last_progress = Instant::now();
-                    }
-                    Frame::BatchDone { batch } => {
-                        if let Some(conn) = coordinator.workers.get_mut(&worker) {
-                            if conn.busy == Some(batch) {
-                                conn.busy = None;
-                            }
-                        }
-                        if let Some(fl) = coordinator.inflight.remove(&batch) {
-                            // Defensive: anything not delivered and not
-                            // stolen goes back on the queue.
-                            if !fl.remaining.is_empty() {
-                                coordinator
-                                    .pending
-                                    .push_front(fl.remaining.into_values().collect());
-                            }
-                        }
-                        coordinator.dispatch(worker);
-                    }
-                    // Workers never send anything else (coordinator-bound
-                    // control frames, client-session frames): ignore
-                    // rather than trust.
-                    _ => {}
-                }
-            }
-            Ok(Event::Disconnected { worker }) => {
-                coordinator.lose_worker(worker);
-                coordinator.dispatch_idle();
-            }
-            Err(mpsc::RecvTimeoutError::Timeout) => {}
-            Err(mpsc::RecvTimeoutError::Disconnected) => {
-                break Err(DistError::Io("event channel closed".into()));
-            }
-        }
-
-        // Housekeeping on every iteration (cheap at these event rates).
-        let timed_out: Vec<WorkerId> = coordinator
-            .workers
-            .iter()
-            .filter(|(_, c)| c.last_seen.elapsed() > config.heartbeat_timeout)
-            .map(|(&id, _)| id)
-            .collect();
-        for worker in timed_out {
-            coordinator.lose_worker(worker);
-        }
-
-        // Per-job deadline: a shard that stops yielding results is stuck
-        // on its first remaining id (in-shard execution is serial and
-        // id-ordered). The job gets a strike, and the worker — which may
-        // be wedged in a loop its heartbeat thread happily outlives — is
-        // dropped; killing its spawned process routes it through the
-        // ordinary crash-respawn path below.
-        if let Some(deadline) = config.job_deadline {
-            let expired: Vec<u32> = coordinator
-                .inflight
-                .iter()
-                .filter(|(_, fl)| !fl.remaining.is_empty() && fl.last_result.elapsed() > deadline)
-                .map(|(&batch, _)| batch)
-                .collect();
-            for batch in expired {
-                let Some(fl) = coordinator.inflight.get(&batch) else {
-                    continue;
-                };
-                let stuck = *fl.remaining.keys().next().expect("filtered non-empty");
-                let victim = fl.worker;
-                coordinator.stats.deadline_strikes += 1;
-                let detail = format!(
-                    "no result within {deadline:?} on worker {}",
-                    coordinator
-                        .workers
-                        .get(&victim)
-                        .map_or("?", |c| c.name.as_str()),
-                );
-                coordinator.note(Counter::DeadlineStrikes);
-                coordinator.flight_note("deadline", victim, Some(stuck), detail.clone());
-                coordinator.flight_dump("deadline", stuck);
-                coordinator.strike(
-                    stuck,
-                    JobError {
-                        kind: JobErrorKind::Deadline,
-                        detail,
-                    },
-                );
-                if let Some(name) = coordinator.lose_worker(victim) {
-                    for slot in children.iter_mut() {
-                        if slot.name == name && !slot.exited {
-                            // Reaped (and respawned) by try_wait below.
-                            let _ = slot.child.kill();
-                        }
-                    }
-                }
-                last_progress = Instant::now();
-            }
-        }
-
-        for slot in &mut children {
-            if slot.exited {
-                continue;
-            }
-            if let Ok(Some(status)) = slot.child.try_wait() {
-                slot.exited = true;
-                if !status.success() && coordinator.work_outstanding() {
-                    respawn_queue += 1;
-                }
-            }
-        }
-        // Drain the respawn queue. A failed attempt consumes one unit of
-        // the budget and is retried after a bounded backoff — never
-        // written off wholesale, so a transiently missing binary or a
-        // brief fork failure costs attempts, not the whole budget.
-        while respawn_queue > 0
-            && coordinator.work_outstanding()
-            && respawns_used < config.max_respawns
-            && Instant::now() >= next_respawn_at
-        {
-            respawns_used += 1;
-            let name = format!("spawned-{spawned_total}");
-            match spawn_worker(
-                binary.as_ref().expect("respawn implies spawned workers"),
-                &local_addr,
-                &name,
-                &config.respawn_extra_args,
-            ) {
-                Ok(child) => {
-                    spawned_total += 1;
-                    respawn_queue -= 1;
-                    respawn_backoff = RESPAWN_BACKOFF_FLOOR;
-                    coordinator.stats.workers_respawned += 1;
-                    children.push(ChildSlot {
-                        name,
-                        child,
-                        exited: false,
-                    });
-                }
-                Err(e) => {
-                    coordinator.stats.respawn_failures += 1;
-                    next_respawn_at = Instant::now() + respawn_backoff;
-                    eprintln!(
-                        "fleet coordinator: respawn failed ({respawns_used} of {} budget used, \
-                         retrying in {respawn_backoff:?}): {e}",
-                        config.max_respawns,
-                    );
-                    respawn_backoff = (respawn_backoff * 2).min(RESPAWN_BACKOFF_CEIL);
-                    break;
-                }
-            }
-        }
-        coordinator.dispatch_idle();
-
-        if let Some(reg) = &coordinator.telemetry {
-            reg.set_gauge(Gauge::LiveWorkers, coordinator.workers.len() as u64);
-            reg.set_gauge(Gauge::PendingBatches, coordinator.pending.len() as u64);
-            reg.set_gauge(Gauge::InflightBatches, coordinator.inflight.len() as u64);
-        }
-
-        if coordinator.workers.is_empty()
-            && children.iter().all(|slot| slot.exited)
-            && config.listen.is_none()
-            && (respawn_queue == 0 || respawns_used >= config.max_respawns)
-        {
-            break Err(DistError::NoWorkers(
-                "every spawned worker exited and the respawn budget is spent".into(),
-            ));
-        }
-        if last_progress.elapsed() > config.stall_timeout {
-            break Err(DistError::Stalled {
-                completed: coordinator.done.len(),
-                total: coordinator.total,
-            });
-        }
-    };
-
-    finish(&mut coordinator, &mut children, &stop, &local_addr);
-    result?;
-    // Fold the coordinator's own registry with the final cumulative
-    // snapshot of every worker, in worker-id order — deterministic
-    // regardless of the order snapshots arrived in.
-    let telemetry = registry.as_ref().map(|reg| {
-        let mut folded = reg.snapshot();
-        let workers = lock_recovering(&worker_metrics, Some(reg));
-        for snap in workers.values() {
-            folded.merge(snap);
-        }
-        folded
-    });
+    let (results, quarantined) = daemon
+        .take_plan(fingerprint)
+        .expect("the admitted plan stays in the book");
     Ok(DistReport {
-        store: ResultStore::new(coordinator.done.into_values().collect()),
-        stats: coordinator.stats,
-        quarantine: QuarantineManifest::new(coordinator.quarantined.into_values().collect()),
-        telemetry,
+        store: ResultStore::new(results),
+        stats: daemon.sched.stats,
+        quarantine: QuarantineManifest::new(quarantined),
+        telemetry: daemon.sched.folded_telemetry(),
     })
 }
 
@@ -1362,10 +1317,10 @@ pub(crate) fn routable_addr(bound: std::net::SocketAddr) -> String {
 }
 
 /// The metrics endpoint thread: answers every connection with a
-/// Prometheus-style plaintext exposition of the coordinator registry
+/// Prometheus-style plaintext exposition of the scheduler registry
 /// folded with the latest worker snapshots. Exits on the stop flag (the
-/// coordinator self-connects to unblock the accept).
-fn serve_metrics(
+/// service loop self-connects to unblock the accept).
+pub(crate) fn serve_metrics(
     listener: &TcpListener,
     registry: &Registry,
     worker_metrics: &Mutex<BTreeMap<WorkerId, Snapshot>>,
@@ -1399,94 +1354,25 @@ fn serve_metrics(
     }
 }
 
-/// Per-connection thread: handshake, then pump frames into the event
-/// channel until the socket dies.
-fn serve_connection(
-    mut stream: TcpStream,
-    worker: WorkerId,
-    telemetry: bool,
-    registry: Option<Arc<Registry>>,
-    events: &mpsc::Sender<Event>,
-) {
-    let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(Duration::from_secs(10)));
-    let hello = match wire::read_frame(&mut stream) {
-        Ok(Frame::Hello {
-            version,
-            spawned,
-            name,
-        }) => {
-            if version != PROTOCOL_VERSION {
-                let _ = wire::write_frame(
-                    &mut stream,
-                    &Frame::Reject {
-                        reason: format!(
-                            "protocol version {version} != coordinator {PROTOCOL_VERSION}"
-                        ),
-                    },
-                );
-                return;
-            }
-            (spawned, name)
-        }
-        _ => return, // not a worker; drop silently
-    };
-    if wire::write_frame(
-        &mut stream,
-        &Frame::Welcome {
-            version: PROTOCOL_VERSION,
-            telemetry,
-        },
-    )
-    .is_err()
-    {
-        return;
-    }
-    let _ = stream.set_read_timeout(None);
-    let writer = match stream.try_clone() {
-        Ok(w) => w,
-        Err(_) => return,
-    };
-    if events
-        .send(Event::Connected {
-            worker,
-            writer,
-            spawned: hello.0,
-            name: hello.1,
-        })
-        .is_err()
-    {
-        return;
-    }
-    loop {
-        match wire::read_frame_recorded(&mut stream, registry.as_deref()) {
-            Ok(frame) => {
-                if events.send(Event::Frame { worker, frame }).is_err() {
-                    return;
-                }
-            }
-            Err(WireError::Io(_))
-            | Err(WireError::FrameTooLarge(_))
-            | Err(WireError::Malformed(_)) => {
-                let _ = events.send(Event::Disconnected { worker });
-                return;
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use zhuyi_fleet::SweepPlan;
+    use av_core::units::Seconds;
+    use av_scenarios::catalog::ScenarioId;
+    use zhuyi_fleet::store::ProbeOutcome;
+    use zhuyi_fleet::JobOutcome;
 
-    fn plan(jobs: usize) -> Vec<SweepJob> {
+    fn plan_seeded(seeds: std::ops::Range<u64>) -> Vec<SweepJob> {
         let plan = SweepPlan::builder()
-            .scenarios([av_scenarios::catalog::ScenarioId::CutOut])
-            .seeds(0..jobs as u64)
+            .scenarios([ScenarioId::CutOut])
+            .seeds(seeds)
             .probe(4.0, false)
             .build();
         plan.jobs().to_vec()
+    }
+
+    fn plan(jobs: usize) -> Vec<SweepJob> {
+        plan_seeded(0..jobs as u64)
     }
 
     #[test]
@@ -1511,11 +1397,7 @@ mod tests {
 
     #[test]
     fn zero_workers_without_listen_is_rejected_up_front() {
-        let plan = SweepPlan::builder()
-            .scenarios([av_scenarios::catalog::ScenarioId::CutOut])
-            .seeds([0])
-            .probe(4.0, false)
-            .build();
+        let plan = SweepPlan::from_jobs(plan(1));
         let config = DistConfig {
             spawn_workers: 0,
             ..DistConfig::default()
@@ -1524,5 +1406,94 @@ mod tests {
             run_distributed(&plan, &config),
             Err(DistError::NoWorkers(_))
         ));
+    }
+
+    fn result(job: &SweepJob) -> JobResult {
+        JobResult {
+            job: job.clone(),
+            outcome: JobOutcome::Probe(ProbeOutcome {
+                collided: false,
+                collision_time: None,
+                collision_actor: None,
+                min_clearance: None,
+                duration: Seconds(job.spec.seed as f64),
+                trace_csv: None,
+            }),
+        }
+    }
+
+    /// Frames are credited by batch: plans A and B both have a job 0, and
+    /// a worker still executing A's batch reports job 0 while B runs.
+    /// That late copy must change none of B's results, strike none of B's
+    /// jobs, and journal nothing.
+    #[test]
+    fn a_finished_plans_late_frames_never_reach_the_next_plan() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+        let addr = listener.local_addr().expect("local addr");
+        let config = DistConfig {
+            batch_size: Some(2),
+            ..DistConfig::default()
+        };
+        let mut sched = Scheduler::new(&config).expect("scheduler");
+        // The scheduler's frames go to peers nobody reads; they are few
+        // and small enough to sit in the socket buffers.
+        let mut peers = Vec::new();
+        for worker in 0..2 {
+            peers.push(TcpStream::connect(addr).expect("connect"));
+            let (stream, _) = listener.accept().expect("accept");
+            sched.connect(worker, stream, false, format!("w{worker}"));
+        }
+        let (plan_a, plan_b) = (plan_seeded(0..2), plan_seeded(10..12));
+        let options = ExecOptions::default();
+
+        // A's one shard [0, 1] goes to worker 0; worker 1 steals job 1.
+        sched.start(0xA, options, &plan_a, BTreeMap::new());
+        assert_eq!(sched.stats.jobs_stolen, 1);
+        let frame = |job: &SweepJob| Frame::Result {
+            result: Box::new(result(job)),
+        };
+        assert!(sched.handle_frame(1, frame(&plan_a[1]), None).unwrap());
+        sched
+            .handle_frame(1, Frame::BatchDone { batch: 1 }, None)
+            .unwrap();
+        assert!(sched.handle_frame(0, frame(&plan_a[0]), None).unwrap());
+        let finished = sched.take_finished().expect("plan A is complete");
+        assert_eq!(finished.results.len(), 2);
+
+        // B starts while worker 0 has not yet reported BatchDone for A's
+        // shard; only the idle worker 1 gets B's work.
+        let path =
+            std::env::temp_dir().join(format!("zhuyi-distd-stale-{}.journal", std::process::id()));
+        let mut journal = JournalWriter::create(&path).expect("journal");
+        sched.start(0xB, options, &plan_b, BTreeMap::new());
+        let failure = Frame::JobFailed {
+            job: 0,
+            error: JobError {
+                kind: JobErrorKind::Panic,
+                detail: "late".into(),
+            },
+        };
+        assert!(!sched
+            .handle_frame(0, frame(&plan_a[0]), Some(&mut journal))
+            .unwrap());
+        assert!(!sched.handle_frame(0, failure, Some(&mut journal)).unwrap());
+        let run = sched.running.as_ref().expect("plan B runs");
+        assert!(
+            run.results.is_empty(),
+            "A's job 0 must not credit B's job 0"
+        );
+        assert!(run.failures.is_empty(), "A's failure must not strike B");
+        assert_eq!(sched.stats.job_failures, 0);
+        assert_eq!(journal.records(), 0, "a stale frame journals nothing");
+
+        // B's own copy of job 0, from the worker B assigned it to, counts.
+        assert!(sched
+            .handle_frame(1, frame(&plan_b[0]), Some(&mut journal))
+            .unwrap());
+        assert_eq!(journal.records(), 1);
+        let run = sched.running.as_ref().expect("plan B runs");
+        assert_eq!(run.results.get(&0), Some(&result(&plan_b[0])));
+        drop(peers);
+        let _ = std::fs::remove_file(&path);
     }
 }

@@ -1,9 +1,14 @@
-//! The persistent sweep daemon: a long-lived coordinator service that
-//! accepts **plan submissions over TCP**, executes them one at a time on
-//! a warm worker fleet, and survives anything short of losing the disk.
+//! The persistent sweep daemon, and the crate's one service loop.
 //!
-//! Where [`crate::coord::run_distributed`] runs one plan and dies with
-//! its process, the daemon decouples plan lifetime from process lifetime:
+//! `serve` is the only event loop in the crate. It accepts worker and
+//! client sessions on one listener, spawns and respawns its own workers,
+//! and drives every plan through the scheduler in [`crate::coord`].
+//! [`run_daemon`] runs it as a long-lived service;
+//! [`crate::coord::run_distributed`] runs it as a one-plan daemon whose
+//! drain is requested from the start.
+//!
+//! Where `run_distributed` runs one plan and dies with its process, the
+//! daemon decouples plan lifetime from process lifetime:
 //!
 //! - **Durable plan queue.** Every admission, per-job result, completion,
 //!   cancellation, and fetch is appended to a write-ahead [`crate::journal`]
@@ -12,7 +17,7 @@
 //!   `kill -9` mid-sweep costs at most the jobs whose results had not yet
 //!   been journaled, never a queued plan.
 //! - **Idempotent submission.** Plans are identified by their client-side
-//!   fingerprint ([`crate::checkpoint::plan_fingerprint`]); a retried
+//!   fingerprint ([`crate::journal::plan_fingerprint`]); a retried
 //!   [`Frame::Submit`] matches the known fingerprint and is answered
 //!   `Accepted { deduped: true }` without enqueueing a second copy, so a
 //!   client that lost the first `Accepted` to a flaky link can retry
@@ -32,11 +37,18 @@
 //! - **Warm workers.** Worker sessions persist across plans (v7 carries
 //!   [`ExecOptions`] per [`Frame::Assign`], not per handshake), so
 //!   back-to-back plans skip process spawn and reconnect entirely.
-//!   Spawned workers that crash are respawned with backoff for as long
-//!   as the daemon lives.
+//!   Spawned workers that crash are respawned with backoff unless the
+//!   loop is about to exit: while the daemon is not draining, or while
+//!   any plan is running or queued.
+//! - **One scheduler.** Every plan gets the scheduler `--dist` uses:
+//!   tail-stealing, and strikes that end in quarantine (a quarantined
+//!   job is absent from the fetched results). Deadlines, verify
+//!   sampling, flight dumps and the metrics endpoint stay `--dist`-only,
+//!   because [`DaemonConfig`] has no field for them.
 //! - **Graceful drain.** [`Frame::Drain`] stops admission, finishes every
-//!   queued and running plan, flushes the journal, shuts the fleet down,
-//!   and returns — zero journal loss, ready for an upgrade restart.
+//!   queued and running plan, waits until each completed plan is fetched
+//!   (or released by its lease), shuts the fleet down, and returns — zero
+//!   journal loss, ready for an upgrade restart.
 //!
 //! # Determinism invariant
 //!
@@ -45,28 +57,21 @@
 //! queue order, chaos on the submit link: all invisible in the exported
 //! bytes. `tests/daemon.rs` pins this with `kill -9` restarts and storm
 //! chaos.
-//!
-//! # Scope
-//!
-//! The daemon's scheduler deliberately omits the one-shot coordinator's
-//! tail-stealing, duplicate-execution sampling, and per-job deadlines; a
-//! contained panic still costs a strike and a job that exhausts
-//! [`DaemonConfig::max_job_failures`] strikes is abandoned (reported in
-//! the status counts, absent from the results — the same graceful
-//! degradation shape as quarantine).
 
-use crate::coord::{self, ChildSlot, DistError, WorkerId};
+use crate::coord::{self, ChildSlot, DistConfig, DistError, Scheduler};
+use crate::faultnet;
 use crate::journal::{self, JournalError, JournalRecord, JournalWriter};
+use crate::quarantine::QuarantineEntry;
 use crate::wire::{self, Frame, PlanState, PROTOCOL_VERSION};
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
-use std::net::{Shutdown, TcpListener, TcpStream};
+use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 use zhuyi_fleet::{ExecOptions, JobResult, SweepJob};
-use zhuyi_telemetry::{Counter, Gauge, Registry, Snapshot};
+use zhuyi_telemetry::{Counter, Registry, Snapshot};
 
 /// Configuration of one daemon process.
 #[derive(Debug, Clone)]
@@ -87,11 +92,11 @@ pub struct DaemonConfig {
     pub max_queue: usize,
     /// Plan lease duration; renewed by any client frame naming the plan.
     pub lease: Duration,
-    /// Jobs per shard; `None` derives the coordinator's default.
+    /// Jobs per shard; `None` derives the scheduler's default.
     pub batch_size: Option<usize>,
     /// A worker silent for longer than this is declared dead.
     pub heartbeat_timeout: Duration,
-    /// Strikes before a job is abandoned for its plan.
+    /// Strikes before a job is quarantined out of its plan.
     pub max_job_failures: usize,
     /// Collect telemetry (daemon counters folded with worker snapshots
     /// into [`DaemonReport::telemetry`]).
@@ -150,6 +155,7 @@ impl From<DistError> for DaemonError {
     fn from(e: DistError) -> Self {
         match e {
             DistError::WorkerBinary(what) => DaemonError::WorkerBinary(what),
+            DistError::Checkpoint(e) => DaemonError::Journal(e),
             other => DaemonError::Io(other.to_string()),
         }
     }
@@ -193,13 +199,16 @@ pub struct DaemonReport {
     pub telemetry: Option<Snapshot>,
 }
 
-/// One plan's in-daemon state. `results` carries what the journal knows;
-/// the merge a client fetches is this map's values ascending by id.
+/// One plan's in-daemon state. `results` carries what the journal knows
+/// (the scheduler holds them while the plan runs); the merge a client
+/// fetches is this map's values ascending by id.
 struct PlanEntry {
     client: String,
     options: ExecOptions,
     jobs: Vec<SweepJob>,
     results: BTreeMap<u64, JobResult>,
+    /// Jobs the plan gave up on, set when it completes.
+    quarantined: Vec<QuarantineEntry>,
     state: PlanState,
     /// Results released: fetched by the client, or abandoned by lease
     /// expiry. Retired entries stay in memory for fingerprint dedup and
@@ -208,35 +217,12 @@ struct PlanEntry {
     lease: Instant,
 }
 
-/// Scheduling state of the one plan currently executing.
-struct Running {
-    fingerprint: u64,
-    pending: VecDeque<Vec<SweepJob>>,
-    inflight: BTreeMap<u32, InflightShard>,
-    failures: BTreeMap<u64, usize>,
-    abandoned: BTreeSet<u64>,
-    total: usize,
-}
-
-struct InflightShard {
-    worker: WorkerId,
-    remaining: BTreeMap<u64, SweepJob>,
-}
-
-struct WorkerConn {
-    writer: TcpStream,
-    name: String,
-    spawned: bool,
-    busy: Option<u32>,
-    last_seen: Instant,
-}
-
 struct ClientConn {
     writer: TcpStream,
     name: String,
 }
 
-/// Session events pumped into the daemon's single scheduling thread.
+/// Session events pumped into the service loop's single thread.
 enum Event {
     WorkerConnected {
         id: u64,
@@ -258,33 +244,115 @@ enum Event {
     },
 }
 
-/// First retry delay after a failed respawn; doubles to the ceiling.
+/// First retry delay after a failed respawn attempt; doubles per
+/// consecutive failure up to [`RESPAWN_BACKOFF_CEIL`].
 const RESPAWN_BACKOFF_FLOOR: Duration = Duration::from_millis(250);
+/// Upper bound on the respawn retry backoff.
 const RESPAWN_BACKOFF_CEIL: Duration = Duration::from_secs(2);
 
-struct Daemon {
-    config: DaemonConfig,
+/// The plan book, the client sessions and the journal around the one
+/// scheduler.
+pub(crate) struct Daemon {
+    pub(crate) sched: Scheduler,
     plans: BTreeMap<u64, PlanEntry>,
     /// Per-client FIFO lanes in first-appearance order; the round-robin
     /// cursor rotates across them.
     lanes: Vec<(String, VecDeque<u64>)>,
     rr_next: usize,
-    running: Option<Running>,
-    workers: BTreeMap<u64, WorkerConn>,
     clients: BTreeMap<u64, ClientConn>,
-    journal: JournalWriter,
-    draining: bool,
+    journal: Option<JournalWriter>,
+    pub(crate) draining: bool,
+    /// Whether a completed plan is held until its client fetches it (or
+    /// its lease releases it) before a drain may finish. A one-plan
+    /// daemon's caller collects the results itself.
+    pub(crate) holds_results: bool,
+    max_queue: usize,
+    lease: Duration,
     stats: DaemonStats,
-    telemetry: Option<Arc<Registry>>,
-    worker_metrics: BTreeMap<u64, Snapshot>,
-    next_batch: u32,
 }
 
 impl Daemon {
-    fn note(&self, counter: Counter) {
-        if let Some(reg) = &self.telemetry {
-            reg.inc(counter);
+    pub(crate) fn new(
+        sched: Scheduler,
+        journal: Option<JournalWriter>,
+        max_queue: usize,
+        lease: Duration,
+    ) -> Self {
+        Self {
+            sched,
+            plans: BTreeMap::new(),
+            lanes: Vec::new(),
+            rr_next: 0,
+            clients: BTreeMap::new(),
+            journal,
+            draining: false,
+            holds_results: true,
+            max_queue,
+            lease,
+            stats: DaemonStats::default(),
         }
+    }
+
+    fn append(&mut self, record: &JournalRecord) -> Result<(), JournalError> {
+        match &mut self.journal {
+            Some(journal) => journal.append(record),
+            None => Ok(()),
+        }
+    }
+
+    /// Enters a plan into the book with `results` already credited; a
+    /// queued plan joins its client's lane.
+    pub(crate) fn admit(
+        &mut self,
+        fingerprint: u64,
+        client: &str,
+        options: ExecOptions,
+        jobs: Vec<SweepJob>,
+        results: Vec<JobResult>,
+        state: PlanState,
+    ) {
+        self.plans.insert(
+            fingerprint,
+            PlanEntry {
+                client: client.to_string(),
+                options,
+                jobs,
+                results: results.into_iter().map(|r| (r.job.id.0, r)).collect(),
+                quarantined: Vec::new(),
+                state,
+                fetched: false,
+                lease: Instant::now(),
+            },
+        );
+        if state == PlanState::Queued {
+            self.enqueue(client, fingerprint);
+        }
+    }
+
+    /// Removes a plan from the book, returning its results (ascending by
+    /// id) and its quarantined jobs.
+    pub(crate) fn take_plan(
+        &mut self,
+        fingerprint: u64,
+    ) -> Option<(Vec<JobResult>, Vec<QuarantineEntry>)> {
+        let entry = self.plans.remove(&fingerprint)?;
+        Some((entry.results.into_values().collect(), entry.quarantined))
+    }
+
+    /// Draining with no plan running or queued: no work is left.
+    fn idle(&self) -> bool {
+        self.draining && self.sched.running.is_none() && self.queued_count() == 0
+    }
+
+    /// Idle, and no completed plan is still held for its client: the
+    /// service loop may exit.
+    pub(crate) fn settled(&self) -> bool {
+        self.idle()
+            && !(self.holds_results
+                && self
+                    .plans
+                    .values()
+                    .any(|e| e.state == PlanState::Completed && !e.fetched))
     }
 
     /// Plans waiting in the lanes (excludes the running plan).
@@ -329,260 +397,54 @@ impl Daemon {
     }
 
     /// Starts the next queued plan if nothing is running.
-    fn start_next_plan(&mut self) {
-        if self.running.is_some() {
+    pub(crate) fn start_next_plan(&mut self) {
+        if self.sched.running.is_some() {
             return;
         }
         let Some(fingerprint) = self.next_plan() else {
             return;
         };
-        let (pending_jobs, total) = {
-            let Some(entry) = self.plans.get_mut(&fingerprint) else {
-                return;
-            };
-            entry.state = PlanState::Running;
-            let pending: Vec<SweepJob> = entry
-                .jobs
-                .iter()
-                .filter(|j| !entry.results.contains_key(&j.id.0))
-                .cloned()
-                .collect();
-            eprintln!(
-                "fleet daemon: starting plan {fingerprint:#018x} for client {} \
-                 ({} jobs, {} already journaled)",
-                entry.client,
-                entry.jobs.len(),
-                entry.results.len(),
-            );
-            (pending, entry.jobs.len())
+        let Some(entry) = self.plans.get_mut(&fingerprint) else {
+            return;
         };
-        let batch_size = self.config.batch_size.unwrap_or_else(|| {
-            coord::default_batch_size(pending_jobs.len(), self.config.spawn_workers)
-        });
-        self.running = Some(Running {
-            fingerprint,
-            pending: coord::chunk_batches(&pending_jobs, batch_size),
-            inflight: BTreeMap::new(),
-            failures: BTreeMap::new(),
-            abandoned: BTreeSet::new(),
-            total,
-        });
-        self.dispatch_idle();
+        entry.state = PlanState::Running;
+        eprintln!(
+            "fleet daemon: starting plan {fingerprint:#018x} for client {} \
+             ({} jobs, {} already journaled)",
+            entry.client,
+            entry.jobs.len(),
+            entry.results.len(),
+        );
+        let results = std::mem::take(&mut entry.results);
+        self.sched
+            .start(fingerprint, entry.options, &entry.jobs, results);
         // A fully journaled plan (every result resumed) completes without
         // dispatching anything.
         self.check_plan_complete();
     }
 
-    /// Gives `worker` its next shard of the running plan, if any.
-    fn dispatch(&mut self, worker: WorkerId) {
-        let assign_failed = {
-            let Daemon {
-                running,
-                workers,
-                plans,
-                next_batch,
-                ..
-            } = self;
-            let Some(running) = running.as_mut() else {
-                return;
-            };
-            let Some(conn) = workers.get_mut(&worker) else {
-                return;
-            };
-            if conn.busy.is_some() {
-                return;
-            }
-            let Some(jobs) = running.pending.pop_front() else {
-                return;
-            };
-            let options = plans
-                .get(&running.fingerprint)
-                .map(|p| p.options)
-                .unwrap_or_default();
-            let batch = *next_batch;
-            *next_batch += 1;
-            if wire::write_assign(&mut conn.writer, batch, options, &jobs).is_err() {
-                running.pending.push_front(jobs);
-                true
-            } else {
-                conn.busy = Some(batch);
-                running.inflight.insert(
-                    batch,
-                    InflightShard {
-                        worker,
-                        remaining: jobs.into_iter().map(|j| (j.id.0, j)).collect(),
-                    },
-                );
-                false
-            }
-        };
-        if assign_failed {
-            self.lose_worker(worker);
-        }
-    }
-
-    fn dispatch_idle(&mut self) {
-        let idle: Vec<WorkerId> = self
-            .workers
-            .iter()
-            .filter(|(_, c)| c.busy.is_none())
-            .map(|(&id, _)| id)
-            .collect();
-        for worker in idle {
-            self.dispatch(worker);
-        }
-    }
-
-    /// Removes a worker and requeues the unfinished jobs of its shards.
-    /// Returns the worker's name if the daemon spawned its process.
-    fn lose_worker(&mut self, worker: WorkerId) -> Option<String> {
-        let conn = self.workers.remove(&worker)?;
-        let _ = conn.writer.shutdown(Shutdown::Both);
-        self.stats.workers_lost += 1;
-        self.note(Counter::WorkersLost);
-        eprintln!(
-            "fleet daemon: lost {}worker {}; reassigning its shard",
-            if conn.spawned { "spawned " } else { "" },
-            conn.name,
-        );
-        if let Some(running) = &mut self.running {
-            let orphaned: Vec<u32> = running
-                .inflight
-                .iter()
-                .filter(|(_, fl)| fl.worker == worker)
-                .map(|(&batch, _)| batch)
-                .collect();
-            for batch in orphaned {
-                let fl = running.inflight.remove(&batch).expect("batch listed");
-                if !fl.remaining.is_empty() {
-                    running
-                        .pending
-                        .push_front(fl.remaining.into_values().collect());
-                }
-            }
-        }
-        conn.spawned.then_some(conn.name)
-    }
-
-    /// Ingests one streamed result for the running plan: journal first,
-    /// then credit — a result the client can ever see is always durable.
-    fn handle_result(&mut self, result: JobResult) -> Result<(), DaemonError> {
-        {
-            let Daemon {
-                running,
-                plans,
-                journal,
-                ..
-            } = self;
-            let Some(running) = running.as_mut() else {
-                return Ok(()); // stale result from a settled plan: ignore
-            };
-            let id = result.job.id.0;
-            for fl in running.inflight.values_mut() {
-                fl.remaining.remove(&id);
-            }
-            if running.abandoned.contains(&id) {
-                return Ok(());
-            }
-            let fingerprint = running.fingerprint;
-            let Some(entry) = plans.get_mut(&fingerprint) else {
-                return Ok(());
-            };
-            if entry.results.contains_key(&id) {
-                return Ok(()); // duplicate: first result wins, as everywhere
-            }
-            journal.append(&JournalRecord::Result {
-                fingerprint,
-                result: Box::new(result.clone()),
-            })?;
-            entry.results.insert(id, result);
-        }
-        self.check_plan_complete();
-        Ok(())
-    }
-
-    /// Records a strike against `job`; abandons it at the limit.
-    fn handle_job_failed(&mut self, worker: WorkerId, job: u64, detail: &str) {
-        if self.running.is_none() {
-            return;
-        }
-        eprintln!(
-            "fleet daemon: job {job} failed on worker {}: {detail}",
-            self.workers.get(&worker).map_or("?", |c| c.name.as_str()),
-        );
-        let abandoned = {
-            let Daemon {
-                running,
-                plans,
-                config,
-                ..
-            } = self;
-            let running = running.as_mut().expect("checked above");
-            for fl in running.inflight.values_mut() {
-                if fl.worker == worker {
-                    fl.remaining.remove(&job);
-                }
-            }
-            let strikes = running.failures.entry(job).or_insert(0);
-            *strikes += 1;
-            if *strikes >= config.max_job_failures.max(1) {
-                eprintln!("fleet daemon: abandoning job {job} after {strikes} strike(s)");
-                running.abandoned.insert(job);
-                for batch in &mut running.pending {
-                    batch.retain(|j| j.id.0 != job);
-                }
-                running.pending.retain(|batch| !batch.is_empty());
-                true
-            } else {
-                if let Some(j) = plans
-                    .get(&running.fingerprint)
-                    .and_then(|e| e.jobs.iter().find(|j| j.id.0 == job))
-                {
-                    // Retry at the back so healthy work drains first.
-                    running.pending.push_back(vec![j.clone()]);
-                }
-                false
-            }
-        };
-        if abandoned {
-            self.check_plan_complete();
-        }
-        self.dispatch_idle();
-    }
-
-    /// Completes the running plan once every job is credited or abandoned.
+    /// Completes the running plan once every job is credited or
+    /// quarantined, then starts the next one.
     fn check_plan_complete(&mut self) {
-        let done = match &self.running {
-            Some(running) => {
-                let entry = self.plans.get(&running.fingerprint);
-                entry.is_some_and(|entry| {
-                    entry.results.len() + running.abandoned.len() >= running.total
-                })
-            }
-            None => false,
-        };
-        if !done {
+        let Some(run) = self.sched.take_finished() else {
             return;
-        }
-        let running = self.running.take().expect("checked above");
-        if let Err(e) = self.journal.append(&JournalRecord::Completed {
-            fingerprint: running.fingerprint,
-        }) {
+        };
+        let fingerprint = run.fingerprint;
+        if let Err(e) = self.append(&JournalRecord::Completed { fingerprint }) {
             // An unwritable journal is fatal for durability but not for
             // this plan's in-memory results; scream and serve on.
             eprintln!("fleet daemon: journal append failed: {e}");
         }
-        if let Some(entry) = self.plans.get_mut(&running.fingerprint) {
+        let quarantined = run.quarantined.len();
+        if let Some(entry) = self.plans.get_mut(&fingerprint) {
             entry.state = PlanState::Completed;
             entry.lease = Instant::now();
+            entry.results = run.results;
+            entry.quarantined = run.quarantined.into_values().collect();
         }
         self.stats.plans_completed += 1;
-        self.note(Counter::PlansCompleted);
-        eprintln!(
-            "fleet daemon: plan {:#018x} completed ({} abandoned)",
-            running.fingerprint,
-            running.abandoned.len(),
-        );
+        self.sched.note(Counter::PlansCompleted);
+        eprintln!("fleet daemon: plan {fingerprint:#018x} completed ({quarantined} quarantined)");
         self.start_next_plan();
     }
 
@@ -591,17 +453,13 @@ impl Daemon {
     /// makes finishing cheaper than unwinding); the caller reports the
     /// actual resulting state back to the client.
     fn cancel(&mut self, fingerprint: u64) {
-        {
-            let Daemon { plans, journal, .. } = self;
-            let Some(entry) = plans.get_mut(&fingerprint) else {
-                return;
-            };
-            if entry.state != PlanState::Queued {
-                return;
-            }
-            if let Err(e) = journal.append(&JournalRecord::Cancelled { fingerprint }) {
-                eprintln!("fleet daemon: journal append failed: {e}");
-            }
+        if self.plans.get(&fingerprint).map(|e| e.state) != Some(PlanState::Queued) {
+            return;
+        }
+        if let Err(e) = self.append(&JournalRecord::Cancelled { fingerprint }) {
+            eprintln!("fleet daemon: journal append failed: {e}");
+        }
+        if let Some(entry) = self.plans.get_mut(&fingerprint) {
             entry.state = PlanState::Cancelled;
         }
         self.unqueue(fingerprint);
@@ -615,7 +473,7 @@ impl Daemon {
         let expired: Vec<(u64, PlanState)> = self
             .plans
             .iter()
-            .filter(|(_, e)| e.lease.elapsed() > self.config.lease)
+            .filter(|(_, e)| e.lease.elapsed() > self.lease)
             .filter(|(_, e)| match e.state {
                 PlanState::Queued => true,
                 PlanState::Completed => !e.fetched,
@@ -625,7 +483,7 @@ impl Daemon {
             .collect();
         for (fingerprint, state) in expired {
             self.stats.lease_expiries += 1;
-            self.note(Counter::LeaseExpiries);
+            self.sched.note(Counter::LeaseExpiries);
             match state {
                 PlanState::Queued => {
                     eprintln!(
@@ -639,7 +497,7 @@ impl Daemon {
                         "fleet daemon: lease expired on completed plan {fingerprint:#018x}; \
                          releasing results"
                     );
-                    if let Err(e) = self.journal.append(&JournalRecord::Fetched { fingerprint }) {
+                    if let Err(e) = self.append(&JournalRecord::Fetched { fingerprint }) {
                         eprintln!("fleet daemon: journal append failed: {e}");
                     }
                     if let Some(entry) = self.plans.get_mut(&fingerprint) {
@@ -652,7 +510,7 @@ impl Daemon {
 
     /// Handles one client request frame, writing the reply directly to
     /// the client's socket (best-effort: a dead client just retries).
-    fn handle_client_frame(&mut self, id: u64, frame: Frame) -> Result<(), DaemonError> {
+    fn handle_client_frame(&mut self, id: u64, frame: Frame) -> Result<(), JournalError> {
         let client_name = match self.clients.get(&id) {
             Some(c) => c.name.clone(),
             None => return Ok(()),
@@ -669,7 +527,7 @@ impl Daemon {
                 });
                 if let Some(state) = known_state {
                     self.stats.submits_deduped += 1;
-                    self.note(Counter::SubmitsDeduped);
+                    self.sched.note(Counter::SubmitsDeduped);
                     Frame::Accepted {
                         fingerprint,
                         deduped: true,
@@ -678,39 +536,34 @@ impl Daemon {
                             _ => 0,
                         },
                     }
-                } else if self.draining || self.queued_count() >= self.config.max_queue {
+                } else if self.draining || self.queued_count() >= self.max_queue {
                     self.stats.submits_shed += 1;
-                    self.note(Counter::SubmitsShed);
+                    self.sched.note(Counter::SubmitsShed);
                     Frame::Busy {
                         queue_limit: if self.draining {
                             0
                         } else {
-                            self.config.max_queue as u32
+                            self.max_queue as u32
                         },
                     }
                 } else {
-                    self.journal.append(&JournalRecord::Submitted {
+                    self.append(&JournalRecord::Submitted {
                         fingerprint,
                         client: client_name.clone(),
                         options,
                         jobs: jobs.clone(),
                     })?;
                     let position = self.queued_count() as u32;
-                    self.plans.insert(
+                    self.admit(
                         fingerprint,
-                        PlanEntry {
-                            client: client_name.clone(),
-                            options,
-                            jobs,
-                            results: BTreeMap::new(),
-                            state: PlanState::Queued,
-                            fetched: false,
-                            lease: Instant::now(),
-                        },
+                        &client_name,
+                        options,
+                        jobs,
+                        Vec::new(),
+                        PlanState::Queued,
                     );
-                    self.enqueue(&client_name, fingerprint);
                     self.stats.plans_admitted += 1;
-                    self.note(Counter::PlanSubmits);
+                    self.sched.note(Counter::PlanSubmits);
                     self.start_next_plan();
                     Frame::Accepted {
                         fingerprint,
@@ -734,12 +587,11 @@ impl Daemon {
                     }
                 });
                 if ready {
-                    let Daemon { plans, journal, .. } = &mut *self;
-                    let entry = plans.get_mut(&fingerprint).expect("checked above");
-                    if !entry.fetched {
-                        journal.append(&JournalRecord::Fetched { fingerprint })?;
-                        entry.fetched = true;
+                    if !self.plans[&fingerprint].fetched {
+                        self.append(&JournalRecord::Fetched { fingerprint })?;
                     }
+                    let entry = self.plans.get_mut(&fingerprint).expect("checked above");
+                    entry.fetched = true;
                     Frame::Results {
                         fingerprint,
                         results: entry.results.values().cloned().collect(),
@@ -754,14 +606,15 @@ impl Daemon {
             Frame::Drain => {
                 if !self.draining {
                     self.draining = true;
-                    self.note(Counter::DrainRequests);
+                    self.sched.note(Counter::DrainRequests);
                     eprintln!(
                         "fleet daemon: drain requested; {} plan(s) to finish",
-                        self.queued_count() + usize::from(self.running.is_some()),
+                        self.queued_count() + usize::from(self.sched.running.is_some()),
                     );
                 }
                 Frame::DrainAck {
-                    queued: (self.queued_count() + usize::from(self.running.is_some())) as u32,
+                    queued: (self.queued_count() + usize::from(self.sched.running.is_some()))
+                        as u32,
                 }
             }
             // Anything else on a client session is a protocol violation;
@@ -778,10 +631,14 @@ impl Daemon {
         match self.plans.get_mut(&fingerprint) {
             Some(entry) => {
                 entry.lease = Instant::now();
+                let completed = match &self.sched.running {
+                    Some(run) if run.fingerprint == fingerprint => run.results.len(),
+                    _ => entry.results.len(),
+                };
                 Frame::StatusReport {
                     fingerprint,
                     state: entry.state,
-                    completed: entry.results.len() as u64,
+                    completed: completed as u64,
                     total: entry.jobs.len() as u64,
                 }
             }
@@ -793,13 +650,6 @@ impl Daemon {
             },
         }
     }
-
-    fn shutdown_workers(&mut self) {
-        for conn in self.workers.values_mut() {
-            let _ = wire::write_frame(&mut conn.writer, &Frame::Shutdown);
-        }
-        self.workers.clear();
-    }
 }
 
 /// Runs the daemon until a client drains it; see the module docs.
@@ -809,26 +659,36 @@ impl Daemon {
 /// See [`DaemonError`]: startup failures (bind, journal replay, worker
 /// binary) and unrecoverable journal appends on the admission path.
 pub fn run_daemon(config: &DaemonConfig) -> Result<DaemonReport, DaemonError> {
-    let telemetry = config.telemetry.then(|| Arc::new(Registry::new()));
+    // The scheduler settings of a service: it waits for plans without a
+    // stall limit and respawns crashed workers for its whole lifetime.
+    let dist = DistConfig {
+        spawn_workers: config.spawn_workers,
+        worker_binary: config.worker_binary.clone(),
+        listen: Some(config.listen.clone()),
+        batch_size: config.batch_size,
+        heartbeat_timeout: config.heartbeat_timeout,
+        stall_timeout: Duration::MAX,
+        max_respawns: usize::MAX,
+        max_job_failures: config.max_job_failures,
+        telemetry: config.telemetry,
+        ..DistConfig::default()
+    };
+    let sched = Scheduler::new(&dist)?;
     let mut stats = DaemonStats::default();
 
     // --- journal replay: the restart path. -----------------------------
     let (journal_writer, recovered) = if config.journal.exists() {
-        let records = journal::load(&config.journal)?;
-        let plans = journal::replay(&records);
-        if let Some(reg) = &telemetry {
-            reg.inc(Counter::JournalReplays);
-        }
-        let live: Vec<JournalRecord> = plans
+        sched.note(Counter::JournalReplays);
+        let live_plans: Vec<journal::ReplayedPlan> =
+            journal::replay(&journal::load(&config.journal)?)
+                .into_iter()
+                .filter(journal::ReplayedPlan::live)
+                .collect();
+        let live: Vec<JournalRecord> = live_plans
             .iter()
-            .filter(|p| p.live())
             .flat_map(journal::ReplayedPlan::to_records)
             .collect();
         let writer = JournalWriter::resume(&config.journal, &live)?;
-        let live_plans: Vec<journal::ReplayedPlan> = plans
-            .into_iter()
-            .filter(journal::ReplayedPlan::live)
-            .collect();
         stats.plans_replayed = live_plans.len();
         stats.resumed_results = live_plans.iter().map(|p| p.results.len()).sum();
         eprintln!(
@@ -840,22 +700,8 @@ pub fn run_daemon(config: &DaemonConfig) -> Result<DaemonReport, DaemonError> {
         (JournalWriter::create(&config.journal)?, Vec::new())
     };
 
-    let mut daemon = Daemon {
-        config: config.clone(),
-        plans: BTreeMap::new(),
-        lanes: Vec::new(),
-        rr_next: 0,
-        running: None,
-        workers: BTreeMap::new(),
-        clients: BTreeMap::new(),
-        journal: journal_writer,
-        draining: false,
-        stats,
-        telemetry: telemetry.clone(),
-        worker_metrics: BTreeMap::new(),
-        next_batch: 0,
-    };
-
+    let mut daemon = Daemon::new(sched, Some(journal_writer), config.max_queue, config.lease);
+    daemon.stats = stats;
     // Re-admit recovered plans in their journaled submission order:
     // completed-but-unfetched plans go straight to the fetch index,
     // everything else requeues (with its journaled results credited, so
@@ -866,24 +712,16 @@ pub fn run_daemon(config: &DaemonConfig) -> Result<DaemonReport, DaemonError> {
         } else {
             PlanState::Queued
         };
-        daemon.plans.insert(
+        daemon.admit(
             plan.fingerprint,
-            PlanEntry {
-                client: plan.client.clone(),
-                options: plan.options,
-                jobs: plan.jobs,
-                results: plan.results.into_iter().map(|r| (r.job.id.0, r)).collect(),
-                state,
-                fetched: false,
-                lease: Instant::now(),
-            },
+            &plan.client,
+            plan.options,
+            plan.jobs,
+            plan.results,
+            state,
         );
-        if state == PlanState::Queued {
-            daemon.enqueue(&plan.client, plan.fingerprint);
-        }
     }
 
-    // --- plumbing: listener, session threads, spawned workers. ---------
     // A daemon restarted right after a crash can race its predecessor's
     // half-closed sockets out of TIME_WAIT on the same port; retry the
     // bind briefly instead of refusing to come back up.
@@ -903,27 +741,89 @@ pub fn run_daemon(config: &DaemonConfig) -> Result<DaemonReport, DaemonError> {
             }
         }
     };
-    let bound = listener
-        .local_addr()
-        .map_err(|e| DaemonError::Io(format!("local_addr: {e}")))?;
-    let local_addr = coord::routable_addr(bound);
     eprintln!(
-        "fleet daemon: serving on {local_addr}, journal {}",
+        "fleet daemon: serving on {}, journal {}",
+        config.listen,
         config.journal.display()
     );
+    serve(&mut daemon, listener, &dist)?;
+    eprintln!(
+        "fleet daemon: drained cleanly ({} plan(s) completed over the service lifetime)",
+        daemon.stats.plans_completed,
+    );
+    let mut stats = daemon.stats;
+    stats.workers_connected = daemon.sched.stats.workers_connected;
+    stats.workers_lost = daemon.sched.stats.workers_lost;
+    stats.workers_respawned = daemon.sched.stats.workers_respawned;
+    Ok(DaemonReport {
+        stats,
+        telemetry: daemon.sched.folded_telemetry(),
+    })
+}
+
+/// The service loop: accepts worker and client sessions on `listener`,
+/// spawns `config.spawn_workers` workers (respawning crashed ones), and
+/// drives `daemon` until it settles — drained, with
+/// nothing running or queued — or a run-ending error. Workers, sessions,
+/// the metrics endpoint and spawned processes never outlive the call.
+///
+/// # Errors
+///
+/// The run-ending [`DistError`]s; see [`DistConfig`] for which limits
+/// apply.
+pub(crate) fn serve(
+    daemon: &mut Daemon,
+    listener: TcpListener,
+    config: &DistConfig,
+) -> Result<(), DistError> {
+    // Spawned workers (and the shutdown self-connect that unblocks the
+    // accept loop) must dial a *routable* address: a wildcard bind like
+    // 0.0.0.0:7700 is a listen address, not a destination, so map it to
+    // the same-family loopback with the bound port.
+    let local_addr = coord::routable_addr(
+        listener
+            .local_addr()
+            .map_err(|e| DistError::Io(format!("local_addr: {e}")))?,
+    );
+
+    // The live metrics endpoint: a plaintext Prometheus-style exposition
+    // of the scheduler registry folded with the latest worker snapshots,
+    // served for the duration of the run.
+    let metrics = match &config.metrics_listen {
+        Some(addr) => {
+            let metrics_listener = TcpListener::bind(addr)
+                .map_err(|e| DistError::Io(format!("binding metrics {addr}: {e}")))?;
+            let metrics_addr = coord::routable_addr(
+                metrics_listener
+                    .local_addr()
+                    .map_err(|e| DistError::Io(format!("metrics local_addr: {e}")))?,
+            );
+            let metrics_stop = Arc::new(AtomicBool::new(false));
+            let reg = Arc::clone(
+                daemon
+                    .sched
+                    .telemetry
+                    .as_ref()
+                    .expect("metrics imply a registry"),
+            );
+            let worker_metrics = Arc::clone(&daemon.sched.worker_metrics);
+            let stop = Arc::clone(&metrics_stop);
+            std::thread::spawn(move || {
+                coord::serve_metrics(&metrics_listener, &reg, &worker_metrics, &stop)
+            });
+            Some((metrics_addr, metrics_stop))
+        }
+        None => None,
+    };
 
     let (events_tx, events_rx) = mpsc::channel::<Event>();
     let stop = Arc::new(AtomicBool::new(false));
-    let draining_flag = Arc::new(AtomicBool::new(false));
+    let draining = Arc::new(AtomicBool::new(daemon.draining));
     {
-        let events_tx = events_tx.clone();
         let stop = Arc::clone(&stop);
-        let draining_flag = Arc::clone(&draining_flag);
-        let registry = telemetry.clone();
+        let draining = Arc::clone(&draining);
+        let registry = daemon.sched.telemetry.clone();
         let telemetry_on = config.telemetry;
-        let listener = listener
-            .try_clone()
-            .map_err(|e| DaemonError::Io(format!("cloning listener: {e}")))?;
         std::thread::spawn(move || {
             let mut next_id: u64 = 0;
             loop {
@@ -935,189 +835,177 @@ pub fn run_daemon(config: &DaemonConfig) -> Result<DaemonReport, DaemonError> {
                 }
                 let id = next_id;
                 next_id += 1;
-                let events_tx = events_tx.clone();
+                let events = events_tx.clone();
                 let registry = registry.clone();
-                let draining_flag = Arc::clone(&draining_flag);
+                let draining = Arc::clone(&draining);
                 std::thread::spawn(move || {
-                    serve_session(
-                        stream,
-                        id,
-                        telemetry_on,
-                        &draining_flag,
-                        registry,
-                        &events_tx,
-                    );
+                    serve_session(stream, id, telemetry_on, &draining, registry, &events);
                 });
             }
         });
     }
 
-    let binary = if config.spawn_workers > 0 {
-        match &config.worker_binary {
-            Some(path) => Some(path.clone()),
-            None => Some(coord::default_worker_binary().map_err(DaemonError::WorkerBinary)?),
-        }
-    } else {
-        None
-    };
     let mut children: Vec<ChildSlot> = Vec::new();
-    let mut spawned_total = 0usize;
-    for _ in 0..config.spawn_workers {
-        let name = format!("daemon-worker-{spawned_total}");
-        let child = coord::spawn_worker(
+    let result = drive(
+        daemon,
+        config,
+        &local_addr,
+        &events_rx,
+        &draining,
+        &mut children,
+    );
+
+    // Teardown, shared by every exit path: the journal flushes per
+    // record, so only the fleet, the accept thread and the metrics
+    // endpoint are left.
+    daemon.sched.shutdown_workers();
+    stop.store(true, Ordering::SeqCst);
+    // Unblock the accept loop so its thread exits.
+    let _ = TcpStream::connect(&local_addr);
+    if let Some((metrics_addr, metrics_stop)) = &metrics {
+        metrics_stop.store(true, Ordering::SeqCst);
+        let _ = TcpStream::connect(metrics_addr);
+    }
+    coord::reap_children(&mut children);
+    result
+}
+
+/// Spawns the fleet, then runs the event loop until `daemon` settles.
+fn drive(
+    daemon: &mut Daemon,
+    config: &DistConfig,
+    addr: &str,
+    events: &mpsc::Receiver<Event>,
+    draining: &AtomicBool,
+    children: &mut Vec<ChildSlot>,
+) -> Result<(), DistError> {
+    let binary = match (&config.worker_binary, config.spawn_workers) {
+        (_, 0) => None,
+        (Some(path), _) => Some(path.clone()),
+        (None, _) => Some(coord::default_worker_binary().map_err(DistError::WorkerBinary)?),
+    };
+    for k in 0..config.spawn_workers {
+        let mut extra = config.worker_extra_args.get(k).cloned().unwrap_or_default();
+        if let Some(chaos) = config.chaos {
+            extra.extend([
+                "--chaos-seed".to_string(),
+                faultnet::derive_worker_seed(chaos.seed, k as u64).to_string(),
+                "--chaos-profile".to_string(),
+                chaos.profile.name.to_string(),
+            ]);
+        }
+        children.push(coord::spawn_worker(
             binary.as_ref().expect("binary resolved when spawning"),
-            &local_addr,
-            &name,
-            &[],
-        )?;
-        children.push(ChildSlot {
-            name,
-            child,
-            exited: false,
-        });
-        spawned_total += 1;
+            addr,
+            format!("spawned-{k}"),
+            &extra,
+        )?);
     }
 
-    // --- the service loop. ---------------------------------------------
+    let mut spawned_total = config.spawn_workers;
+    let mut respawns_used = 0usize;
     let mut respawn_queue = 0usize;
     let mut respawn_backoff = RESPAWN_BACKOFF_FLOOR;
     let mut next_respawn_at = Instant::now();
-    daemon.start_next_plan();
-    let result: Result<(), DaemonError> = loop {
-        if daemon.draining && daemon.running.is_none() && daemon.queued_count() == 0 {
-            break Ok(());
+    let mut last_progress = Instant::now();
+    loop {
+        if daemon.settled() {
+            return Ok(());
         }
-        match events_rx.recv_timeout(Duration::from_millis(200)) {
+        match events.recv_timeout(Duration::from_millis(200)) {
             Ok(Event::WorkerConnected {
                 id,
                 writer,
                 spawned,
                 name,
-            }) => {
-                daemon.stats.workers_connected += 1;
-                daemon.note(Counter::WorkersConnected);
-                daemon.workers.insert(
-                    id,
-                    WorkerConn {
-                        writer,
-                        name,
-                        spawned,
-                        busy: None,
-                        last_seen: Instant::now(),
-                    },
-                );
-                daemon.dispatch(id);
-            }
+            }) => daemon.sched.connect(id, writer, spawned, name),
             Ok(Event::ClientConnected { id, writer, name }) => {
                 daemon.clients.insert(id, ClientConn { writer, name });
             }
+            Ok(Event::Frame { id, frame }) if daemon.clients.contains_key(&id) => {
+                daemon.handle_client_frame(id, frame)?;
+            }
             Ok(Event::Frame { id, frame }) => {
-                if daemon.clients.contains_key(&id) {
-                    if let Err(e) = daemon.handle_client_frame(id, frame) {
-                        break Err(e);
-                    }
-                } else {
-                    if let Some(conn) = daemon.workers.get_mut(&id) {
-                        conn.last_seen = Instant::now();
-                    }
-                    match frame {
-                        Frame::Heartbeat => {
-                            if let Some(conn) = daemon.workers.get_mut(&id) {
-                                let _ = wire::write_frame(&mut conn.writer, &Frame::Heartbeat);
-                            }
-                        }
-                        Frame::Metrics { snapshot } => {
-                            daemon.worker_metrics.insert(id, *snapshot);
-                        }
-                        Frame::Result { result } => {
-                            if let Err(e) = daemon.handle_result(*result) {
-                                break Err(e);
-                            }
-                        }
-                        Frame::JobFailed { job, error } => {
-                            daemon.handle_job_failed(id, job, &error.to_string());
-                        }
-                        Frame::BatchDone { batch } => {
-                            if let Some(conn) = daemon.workers.get_mut(&id) {
-                                if conn.busy == Some(batch) {
-                                    conn.busy = None;
-                                }
-                            }
-                            if let Some(running) = &mut daemon.running {
-                                if let Some(fl) = running.inflight.remove(&batch) {
-                                    if !fl.remaining.is_empty() {
-                                        running
-                                            .pending
-                                            .push_front(fl.remaining.into_values().collect());
-                                    }
-                                }
-                            }
-                            daemon.dispatch(id);
-                        }
-                        _ => {}
+                if daemon
+                    .sched
+                    .handle_frame(id, frame, daemon.journal.as_mut())?
+                {
+                    last_progress = Instant::now();
+                }
+                if let Some(limit) = config.abort_after_results {
+                    let completed = daemon.sched.stats.executed_jobs;
+                    if completed >= limit {
+                        return Err(DistError::Aborted { completed });
                     }
                 }
             }
             Ok(Event::Disconnected { id }) => {
                 if daemon.clients.remove(&id).is_none() {
-                    daemon.lose_worker(id);
-                    daemon.dispatch_idle();
+                    daemon.sched.lose_worker(id);
+                    daemon.sched.dispatch_idle();
                 }
             }
             Err(mpsc::RecvTimeoutError::Timeout) => {}
             Err(mpsc::RecvTimeoutError::Disconnected) => {
-                break Err(DaemonError::Io("event channel closed".into()));
+                return Err(DistError::Io("event channel closed".into()));
             }
         }
 
-        // Housekeeping on every iteration.
-        draining_flag.store(daemon.draining, Ordering::SeqCst);
+        // Housekeeping on every iteration (cheap at these event rates).
+        draining.store(daemon.draining, Ordering::SeqCst);
         daemon.expire_leases();
-        let timed_out: Vec<u64> = daemon
-            .workers
-            .iter()
-            .filter(|(_, c)| c.last_seen.elapsed() > config.heartbeat_timeout)
-            .map(|(&id, _)| id)
-            .collect();
-        for worker in timed_out {
-            daemon.lose_worker(worker);
+        let (killed, struck) = daemon.sched.expire();
+        if struck {
+            last_progress = Instant::now();
         }
-        for slot in &mut children {
-            if slot.exited {
-                continue;
+        for slot in children.iter_mut() {
+            if killed.contains(&slot.name) && !slot.exited {
+                // Reaped (and respawned) by try_wait below.
+                let _ = slot.child.kill();
             }
-            if let Ok(Some(_)) = slot.child.try_wait() {
+        }
+        daemon.check_plan_complete();
+
+        // Respawn crashed spawned workers unless the loop is about to
+        // exit: while not draining, or while any plan is running or
+        // queued. A failed attempt consumes one unit of the budget and is
+        // retried after a bounded backoff — never written off wholesale,
+        // so a transiently missing binary or a brief fork failure costs
+        // attempts, not the whole budget.
+        let idle = daemon.idle();
+        for slot in children.iter_mut().filter(|slot| !slot.exited) {
+            if let Ok(Some(status)) = slot.child.try_wait() {
                 slot.exited = true;
-                if !daemon.draining {
+                if !status.success() && !idle {
                     respawn_queue += 1;
                 }
             }
         }
-        // Respawn crashed spawned workers with bounded backoff — a
-        // daemon is a service, so the budget is its lifetime.
-        while respawn_queue > 0 && !daemon.draining && Instant::now() >= next_respawn_at {
-            let name = format!("daemon-worker-{spawned_total}");
+        while respawn_queue > 0
+            && !idle
+            && respawns_used < config.max_respawns
+            && Instant::now() >= next_respawn_at
+        {
+            respawns_used += 1;
             match coord::spawn_worker(
                 binary.as_ref().expect("respawn implies spawned workers"),
-                &local_addr,
-                &name,
-                &[],
+                addr,
+                format!("spawned-{spawned_total}"),
+                &config.respawn_extra_args,
             ) {
-                Ok(child) => {
+                Ok(slot) => {
                     spawned_total += 1;
                     respawn_queue -= 1;
                     respawn_backoff = RESPAWN_BACKOFF_FLOOR;
-                    daemon.stats.workers_respawned += 1;
-                    children.push(ChildSlot {
-                        name,
-                        child,
-                        exited: false,
-                    });
+                    daemon.sched.stats.workers_respawned += 1;
+                    children.push(slot);
                 }
                 Err(e) => {
+                    daemon.sched.stats.respawn_failures += 1;
                     next_respawn_at = Instant::now() + respawn_backoff;
                     eprintln!(
-                        "fleet daemon: respawn failed (retrying in {respawn_backoff:?}): {e}"
+                        "fleet coordinator: respawn attempt {respawns_used} failed \
+                         (retrying in {respawn_backoff:?}): {e}"
                     );
                     respawn_backoff = (respawn_backoff * 2).min(RESPAWN_BACKOFF_CEIL);
                     break;
@@ -1125,43 +1013,24 @@ pub fn run_daemon(config: &DaemonConfig) -> Result<DaemonReport, DaemonError> {
             }
         }
         daemon.start_next_plan();
-        daemon.dispatch_idle();
+        daemon.sched.dispatch_idle();
+        daemon.sched.set_gauges(daemon.queued_count());
 
-        if let Some(reg) = &daemon.telemetry {
-            reg.set_gauge(Gauge::QueuedPlans, daemon.queued_count() as u64);
-            reg.set_gauge(Gauge::LiveWorkers, daemon.workers.len() as u64);
-            reg.set_gauge(
-                Gauge::InflightBatches,
-                daemon
-                    .running
-                    .as_ref()
-                    .map_or(0, |r| r.inflight.len() as u64),
-            );
+        if config.listen.is_none()
+            && !idle
+            && !daemon.sched.has_workers()
+            && children.iter().all(|slot| slot.exited)
+            && (respawn_queue == 0 || respawns_used >= config.max_respawns)
+        {
+            return Err(DistError::NoWorkers(
+                "every spawned worker exited and the respawn budget is spent".into(),
+            ));
         }
-    };
-
-    // Teardown: drain complete (or fatal error). Flush is implicit — the
-    // journal flushes per record — so the only work left is the fleet.
-    daemon.shutdown_workers();
-    stop.store(true, Ordering::SeqCst);
-    let _ = TcpStream::connect(&local_addr);
-    coord::reap_children(&mut children);
-    result?;
-    eprintln!(
-        "fleet daemon: drained cleanly ({} plan(s) completed over the service lifetime)",
-        daemon.stats.plans_completed,
-    );
-    let telemetry = telemetry.as_ref().map(|reg| {
-        let mut folded = reg.snapshot();
-        for snap in daemon.worker_metrics.values() {
-            folded.merge(snap);
+        if last_progress.elapsed() > config.stall_timeout {
+            let (completed, total) = daemon.sched.progress();
+            return Err(DistError::Stalled { completed, total });
         }
-        folded
-    });
-    Ok(DaemonReport {
-        stats: daemon.stats,
-        telemetry,
-    })
+    }
 }
 
 /// Per-connection thread: discriminate worker vs client on the first
@@ -1177,76 +1046,58 @@ fn serve_session(
 ) {
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(Duration::from_secs(10)));
-    let connected = match wire::read_frame(&mut stream) {
+    // The first frame picks the session kind: its welcome, and the event
+    // that hands the session to the loop.
+    type Admit = Box<dyn FnOnce(TcpStream) -> Event>;
+    let (version, welcome, admit): (u16, Frame, Admit) = match wire::read_frame(&mut stream) {
         Ok(Frame::Hello {
             version,
             spawned,
             name,
-        }) => {
-            if version != PROTOCOL_VERSION {
-                let _ = wire::write_frame(
-                    &mut stream,
-                    &Frame::Reject {
-                        reason: format!("protocol version {version} != daemon {PROTOCOL_VERSION}"),
-                    },
-                );
-                return;
-            }
-            if wire::write_frame(
-                &mut stream,
-                &Frame::Welcome {
-                    version: PROTOCOL_VERSION,
-                    telemetry,
-                },
-            )
-            .is_err()
-            {
-                return;
-            }
-            let Ok(writer) = stream.try_clone() else {
-                return;
-            };
-            Event::WorkerConnected {
+        }) => (
+            version,
+            Frame::Welcome {
+                version: PROTOCOL_VERSION,
+                telemetry,
+            },
+            Box::new(move |writer| Event::WorkerConnected {
                 id,
                 writer,
                 spawned,
                 name,
-            }
-        }
-        Ok(Frame::ClientHello { version, client }) => {
-            if version != PROTOCOL_VERSION {
-                let _ = wire::write_frame(
-                    &mut stream,
-                    &Frame::Reject {
-                        reason: format!("protocol version {version} != daemon {PROTOCOL_VERSION}"),
-                    },
-                );
-                return;
-            }
-            if wire::write_frame(
-                &mut stream,
-                &Frame::ClientWelcome {
-                    version: PROTOCOL_VERSION,
-                    draining: draining.load(Ordering::SeqCst),
-                },
-            )
-            .is_err()
-            {
-                return;
-            }
-            let Ok(writer) = stream.try_clone() else {
-                return;
-            };
-            Event::ClientConnected {
+            }),
+        ),
+        Ok(Frame::ClientHello { version, client }) => (
+            version,
+            Frame::ClientWelcome {
+                version: PROTOCOL_VERSION,
+                draining: draining.load(Ordering::SeqCst),
+            },
+            Box::new(move |writer| Event::ClientConnected {
                 id,
                 writer,
                 name: client,
-            }
-        }
+            }),
+        ),
         _ => return, // neither handshake: drop silently
     };
+    if version != PROTOCOL_VERSION {
+        let _ = wire::write_frame(
+            &mut stream,
+            &Frame::Reject {
+                reason: format!("protocol version {version} != service {PROTOCOL_VERSION}"),
+            },
+        );
+        return;
+    }
+    if wire::write_frame(&mut stream, &welcome).is_err() {
+        return;
+    }
+    let Ok(writer) = stream.try_clone() else {
+        return;
+    };
     let _ = stream.set_read_timeout(None);
-    if events.send(connected).is_err() {
+    if events.send(admit(writer)).is_err() {
         return;
     }
     loop {
@@ -1268,23 +1119,14 @@ fn serve_session(
 mod tests {
     use super::*;
 
+    fn daemon() -> Daemon {
+        let sched = Scheduler::new(&DistConfig::default()).expect("scheduler");
+        Daemon::new(sched, None, 8, Duration::from_secs(300))
+    }
+
     #[test]
     fn round_robin_lanes_interleave_clients() {
-        let mut daemon = Daemon {
-            config: DaemonConfig::default(),
-            plans: BTreeMap::new(),
-            lanes: Vec::new(),
-            rr_next: 0,
-            running: None,
-            workers: BTreeMap::new(),
-            clients: BTreeMap::new(),
-            journal: JournalWriter::create(&tmp("rr")).expect("journal"),
-            draining: false,
-            stats: DaemonStats::default(),
-            telemetry: None,
-            worker_metrics: BTreeMap::new(),
-            next_batch: 0,
-        };
+        let mut daemon = daemon();
         // Client a floods three plans; client b submits one.
         daemon.enqueue("a", 1);
         daemon.enqueue("a", 2);
@@ -1296,39 +1138,16 @@ mod tests {
             vec![1, 10, 2, 3],
             "b's plan must not wait behind all of a's"
         );
-        let _ = std::fs::remove_file(tmp("rr"));
     }
 
     #[test]
     fn unqueue_frees_a_cancelled_plans_slot() {
-        let mut daemon = Daemon {
-            config: DaemonConfig::default(),
-            plans: BTreeMap::new(),
-            lanes: Vec::new(),
-            rr_next: 0,
-            running: None,
-            workers: BTreeMap::new(),
-            clients: BTreeMap::new(),
-            journal: JournalWriter::create(&tmp("unq")).expect("journal"),
-            draining: false,
-            stats: DaemonStats::default(),
-            telemetry: None,
-            worker_metrics: BTreeMap::new(),
-            next_batch: 0,
-        };
+        let mut daemon = daemon();
         daemon.enqueue("a", 1);
         daemon.enqueue("a", 2);
         assert_eq!(daemon.queued_count(), 2);
         daemon.unqueue(1);
         assert_eq!(daemon.queued_count(), 1);
         assert_eq!(daemon.next_plan(), Some(2));
-        let _ = std::fs::remove_file(tmp("unq"));
-    }
-
-    fn tmp(tag: &str) -> PathBuf {
-        std::env::temp_dir().join(format!(
-            "zhuyi-daemon-test-{tag}-{}.journal",
-            std::process::id()
-        ))
     }
 }

@@ -1,14 +1,18 @@
-//! The daemon's durable write-ahead journal: every submitted plan, every
+//! The crate's one crash-safe record log: every submitted plan, every
 //! completed job result, and every lifecycle transition, flushed
-//! per-record so a `kill -9` of the daemon loses at most the record
-//! being appended.
+//! per-record so a `kill -9` loses at most the record being appended.
 //!
-//! This extends the checkpoint-v2 format (see [`crate::checkpoint`]) from
-//! one plan per file to a multi-plan log: the same per-record framing and
-//! the same damage policy — a torn record at the exact tail of the file
-//! (the daemon died mid-append) is tolerated and dropped on load, while
-//! the same damage anywhere earlier fails the load, because a mid-file
-//! hole means the file as a whole is not trustworthy.
+//! The daemon keeps a multi-plan journal (`--journal`), and
+//! `fleet_sweep --dist --checkpoint PATH` keeps a one-plan journal: a
+//! `Submitted` record, the plan's `Result` records, and `Completed` once
+//! the sweep finishes. A checkpoint holding another plan is refused with
+//! [`JournalError::PlanMismatch`], and a file in the retired checkpoint
+//! format fails the header check below; neither is touched.
+//!
+//! The damage policy: a torn record at the exact tail of the file (the
+//! writer died mid-append) is tolerated and dropped on load, while the
+//! same damage anywhere earlier fails the load, because a mid-file hole
+//! means the file as a whole is not trustworthy.
 //!
 //! # File format (v2)
 //!
@@ -41,16 +45,15 @@
 //! jobs are never re-simulated), and retains completed-but-unfetched
 //! results for their clients. [`JournalWriter::resume`] then compacts the
 //! log — fully retired plans (fetched or cancelled) are dropped, live
-//! ones are rewritten — via the same temp-file + atomic-rename dance as
-//! checkpoint resume, so a crash mid-compaction leaves the old journal
-//! intact.
+//! ones are rewritten — via a temp file and an atomic rename, so a crash
+//! mid-compaction leaves the old journal intact.
 
 use crate::wire::{self, Reader, WireError};
 use std::collections::BTreeSet;
 use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
-use zhuyi_fleet::{ExecOptions, JobResult, SweepJob};
+use zhuyi_fleet::{ExecOptions, JobResult, SweepJob, SweepPlan};
 
 const MAGIC: &[u8; 8] = b"ZHUYIDJ2";
 
@@ -61,6 +64,13 @@ pub enum JournalError {
     Io(std::io::Error),
     /// The file is not a journal, or a non-tail record is corrupt.
     Corrupt(String),
+    /// A checkpoint journal holds a different (plan, options) pair.
+    PlanMismatch {
+        /// Fingerprint of the plan the file holds.
+        found: u64,
+        /// Fingerprint of the sweep being resumed.
+        expected: u64,
+    },
 }
 
 impl std::fmt::Display for JournalError {
@@ -68,6 +78,11 @@ impl std::fmt::Display for JournalError {
         match self {
             JournalError::Io(e) => write!(f, "journal i/o error: {e}"),
             JournalError::Corrupt(what) => write!(f, "corrupt journal: {what}"),
+            JournalError::PlanMismatch { found, expected } => write!(
+                f,
+                "checkpoint fingerprint {found:#018x} does not match this sweep \
+                 ({expected:#018x}); it records a different plan or options"
+            ),
         }
     }
 }
@@ -80,12 +95,34 @@ impl From<std::io::Error> for JournalError {
     }
 }
 
+/// FNV-1a 64-bit over the plan's wire-encoded jobs plus the exec options
+/// — a plan's identity in the journal, the daemon's dedup index and a
+/// checkpoint. Folds one reused per-job buffer into the hash state, so
+/// memory stays O(1) in the plan size.
+pub fn plan_fingerprint(plan: &SweepPlan, options: ExecOptions) -> u64 {
+    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    let fold = |hash: &mut u64, bytes: &[u8]| {
+        for &b in bytes {
+            *hash ^= u64::from(b);
+            *hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    };
+    let mut buf = Vec::with_capacity(64);
+    for job in plan.jobs() {
+        buf.clear();
+        wire::put_job(&mut buf, job);
+        fold(&mut hash, &buf);
+    }
+    fold(&mut hash, &[u8::from(options.record_traces)]);
+    hash
+}
+
 /// One durable event in the daemon's plan lifecycle.
 #[derive(Debug, Clone, PartialEq)]
 pub enum JournalRecord {
     /// A plan was admitted into the queue.
     Submitted {
-        /// The plan's identity ([`crate::checkpoint::plan_fingerprint`]).
+        /// The plan's identity ([`plan_fingerprint`]).
         fingerprint: u64,
         /// The submitting client's name (lease bookkeeping).
         client: String,
@@ -219,7 +256,6 @@ fn decode_record(payload: &[u8]) -> Result<JournalRecord, WireError> {
 #[derive(Debug)]
 pub struct JournalWriter {
     writer: BufWriter<File>,
-    path: PathBuf,
     records: usize,
 }
 
@@ -238,11 +274,7 @@ impl JournalWriter {
         let mut writer = BufWriter::new(file);
         writer.write_all(MAGIC)?;
         writer.flush()?;
-        Ok(Self {
-            writer,
-            path: path.to_path_buf(),
-            records: 0,
-        })
+        Ok(Self { writer, records: 0 })
     }
 
     /// Opens an existing journal for appending after `recovered` records
@@ -266,7 +298,6 @@ impl JournalWriter {
         // compacted file the journal in one step. The open handle follows
         // the inode, so subsequent appends land in `path`.
         std::fs::rename(&tmp, path)?;
-        writer.path = path.to_path_buf();
         Ok(writer)
     }
 
@@ -290,11 +321,6 @@ impl JournalWriter {
     /// Records appended so far (including any re-appended on resume).
     pub fn records(&self) -> usize {
         self.records
-    }
-
-    /// The file being written.
-    pub fn path(&self) -> &Path {
-        &self.path
     }
 }
 
@@ -740,5 +766,37 @@ mod tests {
                 Err(e) => panic!("unexpected error on bit {bit}: {e}"),
             }
         }
+    }
+
+    #[test]
+    fn fingerprint_separates_plans_and_options() {
+        let plan_a = SweepPlan::builder()
+            .scenarios([ScenarioId::CutOut])
+            .seeds([0])
+            .probe(4.0, false)
+            .build();
+        let plan_b = SweepPlan::builder()
+            .scenarios([ScenarioId::CutOut])
+            .seeds([1])
+            .probe(4.0, false)
+            .build();
+        let defaults = ExecOptions::default();
+        let recording = ExecOptions {
+            record_traces: true,
+            ..ExecOptions::default()
+        };
+        assert_eq!(
+            plan_fingerprint(&plan_a, defaults),
+            plan_fingerprint(&plan_a, defaults),
+            "fingerprint must be deterministic"
+        );
+        assert_ne!(
+            plan_fingerprint(&plan_a, defaults),
+            plan_fingerprint(&plan_b, defaults)
+        );
+        assert_ne!(
+            plan_fingerprint(&plan_a, defaults),
+            plan_fingerprint(&plan_a, recording)
+        );
     }
 }

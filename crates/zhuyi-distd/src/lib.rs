@@ -9,31 +9,34 @@
 //!
 //! - [`wire`] — the length-prefixed framed protocol: versioned handshake,
 //!   shard assignment, streamed per-job results, heartbeats, revocation;
-//! - [`coord`] — [`coord::run_distributed`]: a work-stealing shard
-//!   scheduler with per-worker in-flight tracking, crash detection (EOF +
-//!   heartbeat timeout) with shard reassignment and respawning, and
-//!   crash-safe [`checkpoint`]ing of completed jobs;
+//! - [`coord`] — the one shard scheduler (tail-stealing, strikes that
+//!   end in quarantine, deadlines, verify sampling) and
+//!   [`coord::run_distributed`], which runs one plan as a one-plan
+//!   daemon; its `--checkpoint` is a one-plan [`journal`], and a file in
+//!   the old pre-journal checkpoint format is refused;
 //! - [`worker`] — the worker loop (`fleet_shard`, or `fleet_sweep
 //!   --connect` on another host) executing jobs through the fleet
 //!   engine's metrics-only [`zhuyi_fleet::exec`] path;
 //! - [`cli`] — shared parsing/validation of the distribution flags;
 //! - [`faultnet`] — deterministic seeded fault injection over the wire
 //!   (chaos testing that replays exactly);
-//! - [`quarantine`] — the poisoned-job manifest behind the coordinator's
+//! - [`quarantine`] — the poisoned-job manifest behind the scheduler's
 //!   K-strikes graceful-degradation path;
-//! - [`daemon`] — the persistent sweep service ([`daemon::run_daemon`],
-//!   `fleet_sweep --daemon`): a durable write-ahead [`journal`] of plan
-//!   submissions and results, bounded admission with `Busy`
-//!   load-shedding, per-client round-robin fairness, lease-based orphan
-//!   handling, warm workers kept across plans, and graceful drain — a
-//!   `kill -9` mid-sweep resumes from the journal on restart;
+//! - [`daemon`] — the crate's one service loop (worker and client
+//!   sessions, spawning with respawn backoff) and the persistent sweep
+//!   service ([`daemon::run_daemon`], `fleet_sweep --daemon`): a durable
+//!   write-ahead [`journal`] of plan submissions and results, bounded
+//!   admission with `Busy` load-shedding, per-client round-robin
+//!   fairness, lease-based orphan handling, warm workers kept across
+//!   plans, and graceful drain — a `kill -9` mid-sweep resumes from the
+//!   journal on restart;
 //! - [`client`] — the submit-side library (`fleet_sweep --submit`):
 //!   request-per-connection retries with exponential backoff and
 //!   deterministic jitter, riding the daemon's fingerprint dedup for
 //!   exactly-once admission over a flaky link;
-//! - [`journal`] — the daemon's append-only, per-record-flushed record
-//!   log (checkpoint-v2 framing: FNV-checksummed records, torn tails
-//!   tolerated, mid-file corruption refused).
+//! - [`journal`] — the one append-only, per-record-flushed record log,
+//!   for the daemon and for checkpoints (FNV-checksummed records, torn
+//!   tails tolerated, mid-file corruption refused).
 //!
 //! # Determinism
 //!
@@ -66,7 +69,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod checkpoint;
 pub mod cli;
 pub mod client;
 pub mod coord;
@@ -77,14 +79,13 @@ pub mod quarantine;
 pub mod wire;
 pub mod worker;
 
-pub use checkpoint::{plan_fingerprint, CheckpointError, CheckpointWriter};
 pub use client::{run_via_daemon, submit_plan, ClientConfig, ClientError, SubmitOutcome};
 pub use coord::{
     default_worker_binary, run_distributed, DistConfig, DistError, DistReport, DistStats,
 };
 pub use daemon::{run_daemon, DaemonConfig, DaemonError, DaemonReport, DaemonStats};
 pub use faultnet::{ChaosProfile, ChaosSpec, FaultTransport};
-pub use journal::{JournalError, JournalRecord, JournalWriter};
+pub use journal::{plan_fingerprint, JournalError, JournalRecord, JournalWriter};
 pub use quarantine::{QuarantineEntry, QuarantineManifest};
 pub use wire::{Frame, JobError, JobErrorKind, PlanState, WireError, PROTOCOL_VERSION};
 pub use worker::{run_worker, WorkerError, WorkerOptions, FAULT_EXIT_CODE};

@@ -124,7 +124,7 @@ impl From<std::io::Error> for WireError {
 
 /// FNV-1a (32-bit) over a frame payload — the per-frame integrity check
 /// written between the length prefix and the payload. Also used for
-/// checkpoint records, so both persisted and in-flight bytes share one
+/// journal records, so both persisted and in-flight bytes share one
 /// corruption detector.
 pub fn payload_checksum(payload: &[u8]) -> u32 {
     let mut hash: u32 = 0x811c_9dc5;
@@ -281,7 +281,7 @@ pub enum Frame {
     /// answers [`Frame::Accepted`] with `deduped: true`.
     Submit {
         /// The client-side plan fingerprint
-        /// ([`crate::checkpoint::plan_fingerprint`] over `jobs` +
+        /// ([`crate::journal::plan_fingerprint`] over `jobs` +
         /// `options`) — the plan's identity for dedup, status, cancel
         /// and fetch.
         fingerprint: u64,
@@ -706,8 +706,8 @@ pub(crate) fn job(r: &mut Reader<'_>) -> Result<SweepJob, WireError> {
     })
 }
 
-/// Encodes one [`JobResult`] (also the checkpoint record format — see
-/// [`crate::checkpoint`]).
+/// Encodes one [`JobResult`] (also the body of a journal `Result`
+/// record — see [`crate::journal`]).
 pub fn put_job_result(out: &mut Vec<u8>, result: &JobResult) {
     put_job(out, &result.job);
     match &result.outcome {
@@ -812,8 +812,8 @@ pub(crate) fn job_result(r: &mut Reader<'_>) -> Result<JobResult, WireError> {
     Ok(JobResult { job, outcome })
 }
 
-/// Decodes a [`JobResult`] from exactly `bytes` (the checkpoint record
-/// format; the inverse of [`put_job_result`]).
+/// Decodes a [`JobResult`] from exactly `bytes` (the inverse of
+/// [`put_job_result`]).
 ///
 /// # Errors
 ///

@@ -26,6 +26,11 @@ fn daemon_binary() -> PathBuf {
     PathBuf::from(env!("CARGO_BIN_EXE_fleet_sweep"))
 }
 
+/// The worker binary cargo built for this test run.
+fn worker_binary() -> PathBuf {
+    PathBuf::from(env!("CARGO_BIN_EXE_fleet_shard"))
+}
+
 fn tmp_dir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("zhuyi-daemon-{}-{name}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
@@ -408,4 +413,115 @@ fn run_via_daemon_matches_single_process_and_drains_cleanly() {
     let plans = journal::replay(&journal::load(&journal_path).expect("journal replays"));
     assert_eq!(plans.len(), 1);
     assert!(plans[0].completed && plans[0].fetched && !plans[0].live());
+}
+
+/// A draining daemon must still respawn a crashed worker: with drain
+/// requested and a plan running, `kill -9` of its only spawned worker
+/// costs a respawn, not a hung daemon. The client fetches the
+/// single-process bytes and the daemon exits 0 within 60 s.
+#[test]
+fn draining_daemon_respawns_a_killed_worker_and_exits() {
+    let dir = tmp_dir("drain-respawn");
+    let journal_path = dir.join("fleet.journal");
+    let addr = free_addr();
+    let mut daemon = spawn_daemon(&addr, &journal_path, 1, &[]);
+    wait_ready(&addr);
+
+    // Long enough on one worker that the kill lands mid-plan.
+    let plan = SweepPlan::builder()
+        .jittered_variants(24)
+        .min_safe_fpr(vec![1, 2, 4, 6, 10, 30])
+        .build();
+    let cfg = client_config(&addr, "client-drain", 11);
+    let out = client::submit_plan(&cfg, &plan, ExecOptions::default()).expect("submit");
+    poll_until(&cfg, out.fingerprint, PlanState::Running);
+    assert_eq!(client::drain(&cfg).expect("drain"), 1);
+
+    let pgrep = Command::new("pgrep")
+        .args(["-P", &daemon.id().to_string()])
+        .output()
+        .expect("pgrep");
+    let children = String::from_utf8(pgrep.stdout).expect("pgrep output");
+    let worker = children
+        .lines()
+        .next()
+        .expect("the daemon's spawned worker");
+    let killed = Command::new("kill")
+        .args(["-9", worker])
+        .status()
+        .expect("kill");
+    assert!(killed.success(), "kill -9 {worker}: {killed:?}");
+
+    let deadline = Instant::now() + Duration::from_secs(60);
+    while client::plan_status(&cfg, out.fingerprint)
+        .expect("status poll")
+        .state
+        != PlanState::Completed
+    {
+        if Instant::now() >= deadline {
+            let _ = daemon.kill();
+            let _ = daemon.wait();
+            panic!("the draining daemon never finished the plan after its worker died");
+        }
+        std::thread::sleep(Duration::from_millis(50));
+    }
+    let results = client::fetch_results(&cfg, out.fingerprint).expect("fetch");
+    assert_eq!(
+        export_bytes(&ResultStore::new(results)),
+        export_bytes(&run_sweep(&plan, 1)),
+        "exports diverged after the respawn"
+    );
+    let status = wait_exit(&mut daemon);
+    assert!(status.success(), "drained daemon must exit 0: {status:?}");
+}
+
+/// The daemon's strike path: two external workers panic on job 3 every
+/// time, so the plan quarantines it after two strikes and completes over
+/// the rest — the fetched store is the single-process store minus job 3.
+#[test]
+fn daemon_quarantines_a_poisoned_job_and_completes() {
+    let dir = tmp_dir("poison");
+    let journal_path = dir.join("fleet.journal");
+    let addr = free_addr();
+    let mut daemon = spawn_daemon(&addr, &journal_path, 0, &["--max-job-failures", "2"]);
+    wait_ready(&addr);
+    let mut workers: Vec<Child> = (0..2)
+        .map(|_| {
+            Command::new(worker_binary())
+                .args(["--connect", &addr, "--poison-job", "3"])
+                .stdout(Stdio::null())
+                .stderr(Stdio::null())
+                .spawn()
+                .expect("spawn worker")
+        })
+        .collect();
+
+    let plan = SweepPlan::builder()
+        .scenarios([ScenarioId::CutOut, ScenarioId::VehicleFollowing])
+        .jittered_variants(4)
+        .probe(4.0, false)
+        .build();
+    assert!(plan.len() >= 6);
+    let cfg = client_config(&addr, "client-poison", 13);
+    let out = client::submit_plan(&cfg, &plan, ExecOptions::default()).expect("submit");
+    poll_until(&cfg, out.fingerprint, PlanState::Completed);
+    let results = client::fetch_results(&cfg, out.fingerprint).expect("fetch");
+    let expected: Vec<_> = run_sweep(&plan, 1)
+        .results()
+        .iter()
+        .filter(|r| r.job.id.0 != 3)
+        .cloned()
+        .collect();
+    assert_eq!(
+        export_bytes(&ResultStore::new(results)),
+        export_bytes(&ResultStore::new(expected)),
+        "the fetched store must be the single-process store minus job 3"
+    );
+
+    assert_eq!(client::drain(&cfg).expect("drain"), 0);
+    let status = wait_exit(&mut daemon);
+    assert!(status.success(), "drained daemon must exit 0: {status:?}");
+    for worker in &mut workers {
+        worker.wait().expect("worker exits after the drain");
+    }
 }

@@ -6,8 +6,11 @@
 //! alongside these tests), talking to the coordinator over loopback TCP.
 
 use std::path::PathBuf;
+use zhuyi_distd::journal;
 use zhuyi_distd::wire::{self, Frame};
-use zhuyi_distd::{run_distributed, DistConfig, DistError, PROTOCOL_VERSION};
+use zhuyi_distd::{
+    plan_fingerprint, run_distributed, DistConfig, DistError, JournalError, PROTOCOL_VERSION,
+};
 use zhuyi_fleet::{
     run_sweep, ExecOptions, JobId, JobKind, JobSpec, RateSpec, ResultStore, SweepJob, SweepPlan,
 };
@@ -111,8 +114,13 @@ fn killed_worker_is_reassigned_and_output_unchanged() {
     let single = fingerprint(&run_sweep(&plan, 1));
     let mut config = config();
     // Worker 0 crashes hard (exit 17) after streaming two results —
-    // mid-shard, since shards carry three jobs.
-    config.worker_extra_args = vec![vec!["--fail-after".into(), "2".into()]];
+    // mid-shard, since shards carry three jobs. Worker 1 connects half a
+    // second late, so it cannot drain the plan before worker 0 has taken
+    // the first shard and died inside it.
+    config.worker_extra_args = vec![
+        vec!["--fail-after".into(), "2".into()],
+        vec!["--slow-start".into(), "500".into()],
+    ];
     let report = run_distributed(&plan, &config).expect("sweep survives the crash");
     assert_eq!(
         fingerprint(&report.store),
@@ -175,6 +183,63 @@ fn checkpoint_resume_completes_the_sweep_identically() {
     assert_eq!(fingerprint(&report.store), single);
     assert_eq!(report.stats.executed_jobs, 0);
     assert_eq!(report.stats.resumed_jobs, plan.len());
+}
+
+/// A checkpoint is a one-plan journal. A file in the retired checkpoint
+/// format, or a journal written for another plan, is refused — and left
+/// byte-identical, never overwritten and never compacted.
+#[test]
+fn checkpoint_refusals_leave_the_file_untouched() {
+    let dir = tmp_dir("refusals");
+    let options = ExecOptions::default();
+
+    // A file in the retired format: its magic, the plan's fingerprint and
+    // one checksummed result record.
+    let plan = mixed_plan();
+    let mut payload = Vec::new();
+    wire::put_job_result(&mut payload, &run_sweep(&plan, 1).results()[0]);
+    let mut old = b"ZHUYIDC2".to_vec();
+    old.extend_from_slice(&plan_fingerprint(&plan, options).to_le_bytes());
+    old.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    old.extend_from_slice(&wire::payload_checksum(&payload).to_le_bytes());
+    old.extend_from_slice(&payload);
+    let old_path = dir.join("old.ckpt");
+    std::fs::write(&old_path, &old).expect("write old checkpoint");
+    let mut config = config();
+    config.checkpoint = Some(old_path.clone());
+    match run_distributed(&plan, &config) {
+        Err(DistError::Checkpoint(JournalError::Corrupt(what))) => {
+            assert!(what.contains("header"), "{what}")
+        }
+        other => panic!("an old-format checkpoint must be refused, got {other:?}"),
+    }
+    assert_eq!(std::fs::read(&old_path).expect("reread"), old);
+
+    // A checkpoint journal of plan P, resumed with plan Q.
+    let probe = |seeds: std::ops::Range<u64>| {
+        SweepPlan::builder()
+            .scenarios([ScenarioId::CutOut])
+            .seeds(seeds)
+            .probe(4.0, false)
+            .build()
+    };
+    let (p, q) = (probe(0..2), probe(5..7));
+    let path = dir.join("p.ckpt");
+    config.checkpoint = Some(path.clone());
+    run_distributed(&p, &config).expect("plan P completes");
+    let plans = journal::replay(&journal::load(&path).expect("a checkpoint is a journal"));
+    assert_eq!(plans.len(), 1, "a checkpoint holds one plan");
+    assert_eq!(plans[0].fingerprint, plan_fingerprint(&p, options));
+    assert_eq!(plans[0].results.len(), p.len());
+    let written = std::fs::read(&path).expect("read checkpoint");
+    match run_distributed(&q, &config) {
+        Err(DistError::Checkpoint(JournalError::PlanMismatch { found, expected })) => {
+            assert_eq!(found, plan_fingerprint(&p, options));
+            assert_eq!(expected, plan_fingerprint(&q, options));
+        }
+        other => panic!("another plan's checkpoint must be refused, got {other:?}"),
+    }
+    assert_eq!(std::fs::read(&path).expect("reread"), written);
 }
 
 /// Regression: a job revoked from a worker (stolen) and later handed
