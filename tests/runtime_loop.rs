@@ -2,7 +2,10 @@
 //! safety checking and budget prioritization driving a live simulation.
 
 use zhuyi_repro::core::prelude::*;
+use zhuyi_repro::model::pipeline::{analyze_trace, PipelineConfig};
+use zhuyi_repro::model::{ActorEstimate, CameraEstimate, TolerableLatencyEstimator, ZhuyiConfig};
 use zhuyi_repro::perception::camera::CameraKind;
+use zhuyi_repro::perception::rig::CameraRig;
 use zhuyi_repro::perception::system::RatePlan;
 use zhuyi_repro::prediction::kinematic::{ConstantAcceleration, ConstantVelocity};
 use zhuyi_repro::prediction::maneuver::{ManeuverConfig, ManeuverPredictor};
@@ -170,26 +173,30 @@ impl Fnv {
         self.u64(v.to_bits());
     }
 
-    fn decision(&mut self, d: &zhuyi_repro::runtime::RuntimeDecision) {
-        use zhuyi_repro::runtime::SafetyAction;
-        self.f64(d.time.value());
-        let est = &d.estimates;
-        self.f64(est.time.value());
-        self.u64(est.actors.len() as u64);
-        for a in &est.actors {
+    fn estimates(&mut self, actors: &[ActorEstimate], cameras: &[CameraEstimate]) {
+        self.u64(actors.len() as u64);
+        for a in actors {
             self.u64(u64::from(a.actor.0));
             self.f64(a.latency.value());
             self.u64(a.outcome as u64);
             self.u64(u64::from(a.stats.latency_steps));
             self.u64(a.stats.constraint_evaluations);
         }
-        self.u64(est.cameras.len() as u64);
-        for c in &est.cameras {
+        self.u64(cameras.len() as u64);
+        for c in cameras {
             self.u64(c.camera.0 as u64);
             self.u64(c.kind as u64);
             self.f64(c.latency.value());
             self.u64(c.limiting_actor.map_or(u64::MAX, |a| u64::from(a.0)));
         }
+    }
+
+    fn decision(&mut self, d: &zhuyi_repro::runtime::RuntimeDecision) {
+        use zhuyi_repro::runtime::SafetyAction;
+        self.f64(d.time.value());
+        let est = &d.estimates;
+        self.f64(est.time.value());
+        self.estimates(&est.actors, &est.cameras);
         self.u64(u64::from(d.verdict.safe));
         self.u64(d.verdict.alarms.len() as u64);
         for a in &d.verdict.alarms {
@@ -250,6 +257,46 @@ fn online_decisions_match_pinned_digest() {
     assert_eq!(
         fnv.0, 0x1f39_70fe_14ed_9ebd,
         "online decision digest moved ({total} decisions)"
+    );
+}
+
+/// Pins every offline analysis bit for bit: the oracle pipeline
+/// (`analyze_trace`) over all 9 catalog scenarios at seed 0 and 30 FPR,
+/// paper estimator, default `PipelineConfig` (stride 10). Oracle futures
+/// are ground-truth traces sampled every 0.05 s, a denser span layout than
+/// the online digest's 0.1 s predictor rollouts. Any change to an
+/// estimate, an outcome or a `SearchStats` count moves the digest. The
+/// default stride is cheap enough: about 4.6 s in a debug build and 0.8 s
+/// in release on a 2-CPU x86-64 box.
+#[test]
+fn offline_analysis_matches_pinned_digest() {
+    let estimator = TolerableLatencyEstimator::new(ZhuyiConfig::paper()).expect("valid config");
+    let config = PipelineConfig::default();
+    let mut fnv = Fnv::new();
+    let mut total = 0usize;
+    for id in ScenarioId::ALL {
+        let scenario = Scenario::build(id, 0);
+        let trace = scenario.run_at(Fpr(30.0));
+        let analysis = analyze_trace(
+            &trace.scenes,
+            scenario.road.path(),
+            &CameraRig::drive_av(),
+            &estimator,
+            &config,
+        );
+        fnv.u64(analysis.steps.len() as u64);
+        for step in &analysis.steps {
+            fnv.f64(step.time.value());
+            fnv.f64(step.ego_speed.value());
+            fnv.f64(step.ego_accel.value());
+            fnv.estimates(&step.actors, &step.cameras);
+        }
+        total += analysis.steps.len();
+    }
+    assert!(total > 0);
+    assert_eq!(
+        fnv.0, 0x14a4_8b58_d930_b20a,
+        "offline analysis digest moved ({total} steps)"
     );
 }
 
