@@ -269,6 +269,12 @@ impl Radians {
     /// Normalizes the angle to `(-pi, pi]`.
     #[inline]
     pub fn normalized(self) -> Self {
+        // An angle already in range is returned as is. That is bit-identical
+        // to the formula below: `%` of an |x| < tau is exact and returns x
+        // (even -0.0), and neither correction applies. NaN fails the test.
+        if self.0 > -std::f64::consts::PI && self.0 <= std::f64::consts::PI {
+            return self;
+        }
         let mut a = self.0 % std::f64::consts::TAU;
         if a <= -std::f64::consts::PI {
             a += std::f64::consts::TAU;
@@ -507,6 +513,61 @@ mod tests {
         assert!((Radians(-3.0 * PI).normalized().value() - PI).abs() < 1e-12);
         assert!((Radians(0.5).normalized().value() - 0.5).abs() < 1e-12);
         assert!((Radians::from_degrees(120.0).as_degrees() - 120.0).abs() < 1e-12);
+    }
+
+    /// The in-range early return of [`Radians::normalized`] must answer
+    /// every input bit for bit like the plain fmod formula.
+    #[test]
+    fn normalized_fast_path_matches_the_fmod_formula() {
+        use std::f64::consts::{PI, TAU};
+        fn fmod_formula(x: f64) -> f64 {
+            let mut a = x % TAU;
+            if a <= -PI {
+                a += TAU;
+            } else if a > PI {
+                a -= TAU;
+            }
+            a
+        }
+        let ulp_up = |x: f64| f64::from_bits(x.to_bits() + 1);
+        let ulp_down = |x: f64| f64::from_bits(x.to_bits() - 1);
+        let mut inputs = vec![
+            0.0,
+            -0.0,
+            PI,
+            -PI,
+            ulp_up(PI),
+            ulp_down(PI),
+            ulp_up(-PI),
+            ulp_down(-PI),
+            TAU,
+            -TAU,
+            ulp_down(TAU),
+            ulp_down(-TAU),
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MIN_POSITIVE,
+            f64::MAX,
+            f64::MIN,
+        ];
+        for k in [3.0, 1e3, 1e9, 1e15, 1e300] {
+            inputs.extend([k * TAU, -k * TAU, k * TAU + 0.5, -k * TAU - 0.5]);
+        }
+        let mut x = 0x2545_f491_4f6c_dd1d_u64;
+        for _ in 0..10_000 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            inputs.push((x >> 11) as f64 / (1u64 << 53) as f64 * 8.0 * PI - 4.0 * PI);
+        }
+        for x in inputs {
+            assert_eq!(
+                Radians(x).normalized().value().to_bits(),
+                fmod_formula(x).to_bits(),
+                "x = {x:e}"
+            );
+        }
     }
 
     #[test]

@@ -68,9 +68,10 @@ fn main() {
     if ablate {
         // Ablation: how the corridor margin (the lateral-overlap gate)
         // shifts nothing here (fixed-gap actors are always in corridor),
-        // but the search-strategy choice does change cost; see the
-        // Criterion benches. What *is* sweepable here is the braking
-        // conservatism C1.
+        // but the search-strategy choice does change cost (counted by
+        // `SearchStats`; see the estimator's
+        // `accelerated_uses_fewer_evaluations` test). What *is* sweepable
+        // here is the braking conservatism C1.
         println!("== C1 ablation at s_n = 30 m (max finite FPR per C1) ==");
         let mut table = Table::new(["C1", "max finite FPR", "unavoidable cells"]);
         for c1 in [0.8, 0.9, 1.0] {

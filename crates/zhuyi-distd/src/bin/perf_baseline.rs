@@ -203,7 +203,8 @@ fn usage() {
          plus a shard_scaling section measuring the same streaming sweep sharded\n\
          across --shards spawned fleet_shard worker processes (build fleet_shard\n\
          first; every distributed run's exports are asserted byte-identical).\n\
-         Each measurement is the best of --reps repetitions (noise rejection).\n\
+         Each measurement is the median of --reps repetitions, reported with its\n\
+         min/max spread.\n\
          --baseline-s records an externally measured wall time for the identical\n\
          sweep on the pre-streaming engine (e.g. the previous commit's\n\
          `fleet_sweep --mode msf --variants N --workers 1`) into the JSON, so the\n\

@@ -261,7 +261,10 @@ impl TolerableLatencyEstimator {
     /// obstacles).
     ///
     /// This is the only pass that queries the future at scan instants:
-    /// it records the gap at each one for the pre-reaction guard.
+    /// it records the gap at each one for the pre-reaction guard. An
+    /// instant the future proves quiet ([`ActorFuture::provably_quiet`])
+    /// is inactive without a query; it still counts as a constraint
+    /// evaluation, so the §4.2 compute basis does not depend on the proof.
     fn threat_scan(
         &self,
         ego: EgoKinematics,
@@ -277,15 +280,20 @@ impl TolerableLatencyEstimator {
         let mut t = 0.0;
         while t <= end + 1e-12 {
             stats.constraint_evaluations += 1;
-            let s = future.at(Seconds(t));
-            let active = s.in_corridor && s.gap.value() >= 0.0;
+            // The gap at an active instant; `None` when inactive.
+            let active = if future.provably_quiet(Seconds(t), cfg.horizon) {
+                None
+            } else {
+                let s = future.at(Seconds(t));
+                (s.in_corridor && s.gap.value() >= 0.0).then_some(s.gap.value())
+            };
             match (active, open) {
-                (true, None) => {
+                (Some(gap), None) => {
                     let (d_unreacted, _) = distance_speed_after(v_e0, ego.accel, Seconds(t));
-                    let frontal = s.gap.value() >= d_unreacted.value() - 1e-9;
+                    let frontal = gap >= d_unreacted.value() - 1e-9;
                     open = Some((t, scan.gaps.len(), frontal));
                 }
-                (false, Some((start, first, frontal))) => {
+                (None, Some((start, first, frontal))) => {
                     if frontal {
                         scan.intervals.push(FrontalInterval {
                             start,
@@ -297,8 +305,8 @@ impl TolerableLatencyEstimator {
                 }
                 _ => {}
             }
-            if let Some((_, _, true)) = open {
-                scan.gaps.push(s.gap.value());
+            if let (Some(gap), Some((_, _, true))) = (active, open) {
+                scan.gaps.push(gap);
             }
             t += dt;
         }

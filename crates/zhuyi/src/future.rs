@@ -15,6 +15,7 @@
 //! (post-deployment, §3.2) and the synthetic fixed-gap sweep of Fig. 8.
 
 use av_core::prelude::*;
+use av_core::trajectory::{Piece, TrajectoryCursor};
 use std::cell::Cell;
 
 /// The actor's situation relative to the ego's path at one future instant.
@@ -49,6 +50,16 @@ pub trait ActorFuture {
     /// `T` (Eq. 4). Defaults to certainty.
     fn probability(&self) -> f64 {
         1.0
+    }
+
+    /// Whether the actor is provably quiet at `tn`: never in the corridor
+    /// at a non-negative gap anywhere on the span of this future that
+    /// contains `tn`. `true` promises that `at(tn)` is no threat, so a
+    /// caller may skip that query; `false` promises nothing. `horizon` is
+    /// the caller's last instant and bounds a span that would otherwise
+    /// run on forever. The default proves nothing.
+    fn provably_quiet(&self, _tn: Seconds, _horizon: Seconds) -> bool {
+        false
     }
 }
 
@@ -180,16 +191,40 @@ impl ActorFuture for ConstantAccelActor {
 /// half-width sum plus a configurable margin.
 ///
 /// The future borrows the path, so every future of one estimation step
-/// shares it. It also keeps a [`ProjectionHint`]: the estimator queries
-/// instants 10 ms apart, so the last winning segment is almost always
-/// next to the answer. A hint only saves work; every answer is
-/// bit-identical to an un-hinted projection.
+/// shares it. It also keeps a [`ProjectionHint`] and a
+/// [`TrajectoryCursor`]: the estimator queries instants 10 ms apart, so
+/// the last winning path segment and trajectory segment are almost always
+/// next to the answer. Both only save work; every answer is bit-identical
+/// to an un-hinted projection of a searched sample.
+///
+/// # Quiet spans
+///
+/// On a straight path the Frenet chart is affine: the single segment
+/// extrapolates at both ends, so arc length `s` and lateral offset `d` are
+/// affine functions of the world point. On each [`Piece`] of the
+/// trajectory the sampled position is affine in time: constant before the
+/// first sample, a lerp between samples, a constant-velocity ray after the
+/// last (bounded here at the caller's horizon). So the gap and the lateral
+/// offset are affine on each piece, and lie between their values at the
+/// piece's two ends. When both ends lie past the same corridor edge, or
+/// both behind the ego, by a rounding margin (`QUIET_MARGIN`, 1e-6 m),
+/// every instant of the piece is inactive and
+/// [`ActorFuture::provably_quiet`] says so. The scan visits
+/// pieces in order, so only the current piece's verdict is kept. On any
+/// other path the future proves nothing.
 #[derive(Debug, Clone)]
 pub struct TrajectoryFuture<'a> {
     path: &'a Path,
     trajectory: Trajectory,
     /// The last query's segment, seeding the next query's projection.
     hint: Cell<ProjectionHint>,
+    /// The last query's trajectory segment, seeding the next sample.
+    cursor: Cell<TrajectoryCursor>,
+    /// The last quiet-span verdict.
+    quiet: Cell<Option<QuietVerdict>>,
+    /// Whether the quiet-span proof applies: a straight path, with the
+    /// path and the ego inside `QUIET_RANGE`.
+    affine_chart: bool,
     /// Absolute time corresponding to relative offset zero.
     t0: Seconds,
     /// Ego arc-length position at t₀.
@@ -220,10 +255,16 @@ impl<'a> TrajectoryFuture<'a> {
         corridor_margin: Meters,
     ) -> Self {
         let ego_frenet = path.project(ego_state.position);
+        let affine_chart = path.is_straight()
+            && path.points().iter().all(|&p| within_quiet_range(p))
+            && ego_frenet.s.value().abs().max(ego_frenet.d.value().abs()) <= QUIET_RANGE;
         Self {
             path,
             trajectory,
             hint: Cell::default(),
+            cursor: Cell::default(),
+            quiet: Cell::default(),
+            affine_chart,
             t0,
             ego_s0: ego_frenet.s,
             ego_d0: ego_frenet.d,
@@ -238,11 +279,63 @@ impl<'a> TrajectoryFuture<'a> {
     pub fn trajectory_probability(&self) -> f64 {
         self.trajectory.probability()
     }
+
+    /// Whether the actor is inactive everywhere on the segment from world
+    /// point `a` to world point `b`: both ends past the same corridor
+    /// edge, or both behind the ego, by `QUIET_MARGIN`. Sound only on an
+    /// affine chart (see the type docs).
+    fn segment_is_quiet(&self, a: Vec2, b: Vec2) -> bool {
+        if !(within_quiet_range(a) && within_quiet_range(b)) {
+            return false;
+        }
+        let (fa, fb) = (self.path.project(a), self.path.project(b));
+        let gap = |f: FrenetPose| (f.s - self.ego_s0 - self.length_allowance).value();
+        let lateral = |f: FrenetPose| (f.d - self.ego_d0).value();
+        let edge = self.corridor_half_width.value() + QUIET_MARGIN;
+        let (da, db) = (lateral(fa), lateral(fb));
+        (gap(fa) < -QUIET_MARGIN && gap(fb) < -QUIET_MARGIN)
+            || (da > edge && db > edge)
+            || (da < -edge && db < -edge)
+    }
+}
+
+/// How far past a corridor edge, or behind the ego, both ends of a span
+/// must lie before the span counts as quiet. It absorbs rounding: on an
+/// affine chart the exact gap and offset at any instant lie between their
+/// exact values at the ends, and every computed value differs from its
+/// exact one only by rounding. Inside `QUIET_RANGE` every length in a
+/// sample and its projection stays below 2²² m, where one rounding costs
+/// at most 2⁻³¹ m ≈ 4.7e-10 m. A sample plus its projection takes about
+/// 20 roundings, each moving the result by a small multiple of that once
+/// propagated, so one query errs by well under 1e-7 m, and the three
+/// values the argument compares (two ends, one instant) together by under
+/// 3e-7 m: inside the margin.
+const QUIET_MARGIN: f64 = 1e-6;
+
+/// The coordinate range, in meters, inside which `QUIET_MARGIN` is
+/// justified. Spans reaching outside it (or not finite) prove nothing.
+const QUIET_RANGE: f64 = 1e6;
+
+fn within_quiet_range(p: Vec2) -> bool {
+    p.x.abs() <= QUIET_RANGE && p.y.abs() <= QUIET_RANGE
+}
+
+/// The quiet-span verdict of one trajectory piece, for one horizon (which
+/// bounds the tail).
+#[derive(Debug, Clone, Copy)]
+struct QuietVerdict {
+    piece: Piece,
+    end: f64,
+    quiet: bool,
 }
 
 impl ActorFuture for TrajectoryFuture<'_> {
     fn at(&self, tn: Seconds) -> RelativeState {
-        let sample = self.trajectory.sample(self.t0 + tn);
+        let mut cursor = self.cursor.get();
+        let sample = self
+            .trajectory
+            .sample_with_cursor(self.t0 + tn, &mut cursor);
+        self.cursor.set(cursor);
         let mut hint = self.hint.get();
         let frenet = self.path.project_with_hint(sample.position, &mut hint);
         let tangent = self.path.frame_at_hinted(frenet.s, &mut hint).heading;
@@ -261,6 +354,39 @@ impl ActorFuture for TrajectoryFuture<'_> {
 
     fn probability(&self) -> f64 {
         self.trajectory.probability()
+    }
+
+    fn provably_quiet(&self, tn: Seconds, horizon: Seconds) -> bool {
+        if !self.affine_chart {
+            return false;
+        }
+        // The same absolute time, and so the same piece, that `at` samples.
+        let t = self.t0 + tn;
+        let end = (self.t0 + horizon).value();
+        let mut cursor = self.cursor.get();
+        let piece = self.trajectory.piece_at(t, &mut cursor);
+        self.cursor.set(cursor);
+        let within_horizon = t.value() <= end; // false for a NaN horizon too
+        if piece == Piece::Tail && !within_horizon {
+            return false; // past the bounded ray
+        }
+        if let Some(v) = self.quiet.get() {
+            if v.piece == piece && v.end.to_bits() == end.to_bits() {
+                return v.quiet;
+            }
+        }
+        let points = self.trajectory.points();
+        let (a, b) = match piece {
+            Piece::Head => (points[0].position, points[0].position),
+            Piece::Segment(i) => (points[i].position, points[i + 1].position),
+            Piece::Tail => (
+                points[points.len() - 1].position,
+                self.trajectory.sample(Seconds(end)).position,
+            ),
+        };
+        let quiet = self.segment_is_quiet(a, b);
+        self.quiet.set(Some(QuietVerdict { piece, end, quiet }));
+        quiet
     }
 }
 
