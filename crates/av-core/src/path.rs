@@ -396,7 +396,8 @@ impl Path {
     /// # Panics
     ///
     /// Panics if `radius` is zero/non-finite, or `arc_length`/`step` are not
-    /// strictly positive and finite.
+    /// strictly positive and finite, or the arc would overlap itself:
+    /// `arc_length` must stay under one full turn, `2π·|radius|`.
     pub fn arc(
         origin: Vec2,
         heading: Radians,
@@ -417,6 +418,11 @@ impl Path {
             "arc sampling step must be positive and finite, got {step}"
         );
         let r = radius.value();
+        assert!(
+            arc_length.value() < std::f64::consts::TAU * r.abs(),
+            "arc length {arc_length} reaches a full turn of radius {radius}; \
+             an arc may not overlap itself"
+        );
         // Center is perpendicular-left of the tangent for r > 0.
         let center = origin + Vec2::from_heading(heading).perp() * r;
         let start_angle = (origin - center).heading();
@@ -1130,6 +1136,19 @@ mod tests {
         // Polyline slightly under-measures the true arc; within 0.1%.
         let err = (p.length().value() - 100.0 * PI).abs() / (100.0 * PI);
         assert!(err < 1e-3, "relative error {err}");
+    }
+
+    #[test]
+    #[should_panic(expected = "may not overlap itself")]
+    fn full_turn_arc_is_rejected() {
+        // 2π·100 m is exactly one turn: the end would meet the start.
+        let _ = Path::arc(
+            Vec2::ZERO,
+            Radians(0.0),
+            Meters(-100.0),
+            Meters(std::f64::consts::TAU * 100.0),
+            Meters(1.0),
+        );
     }
 
     #[test]

@@ -109,6 +109,11 @@ impl Road {
 
     /// The curved 3-lane road of *Challenging cut-in on a curved road*:
     /// a gentle left arc (signed `radius`, positive = left).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the arc would overlap itself: `length` must stay under
+    /// one full turn, `2π·|radius|` (see [`Path::arc`]).
     pub fn curved_three_lane(radius: Meters, length: Meters) -> Self {
         Self::new(
             Path::arc(Vec2::ZERO, Radians(0.0), radius, length, Meters(2.0)),

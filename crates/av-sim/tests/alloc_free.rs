@@ -238,7 +238,8 @@ fn warm_batched_lockstep_ticks_are_allocation_free() {
     };
     for road in [
         Road::straight_three_lane(Meters(3000.0)),
-        Road::curved_three_lane(Meters(400.0), Meters(3000.0)),
+        // 6 rad: under one full turn, so the arc does not overlap itself.
+        Road::curved_three_lane(Meters(500.0), Meters(3000.0)),
     ] {
         let ego = || {
             EgoVehicle::spawn(

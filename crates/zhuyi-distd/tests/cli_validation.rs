@@ -427,6 +427,25 @@ fn scenario_registry_flags_are_validated() {
         "bad.scn",
     );
 
+    // A curved road of a full turn or more would overlap itself; the
+    // error names the road's length and radius.
+    let looped = std::env::temp_dir().join(format!("zhuyi-cli-looped-{}", std::process::id()));
+    std::fs::create_dir_all(&looped).expect("temp dir");
+    std::fs::write(
+        looped.join("loop.scn"),
+        "zhuyi-scenario v1\nname = Loop\nduration = 10.0\n\n\
+         [road]\nkind = curved\nlength = 3000.0\nradius = 400.0\n\n\
+         [ego]\nlane = 1\ns = 50.0\nspeed = 10.0\n",
+    )
+    .expect("write loop.scn");
+    let out = fleet_sweep(&["--scenario-dir", looped.to_str().expect("utf-8 path")]);
+    assert_rejected(&out, "loop.scn");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("road.length") && stderr.contains("road.radius"),
+        "the overlap error must name the road: {stderr}"
+    );
+
     // A --connect worker has no plan of its own; registry flags are
     // plan-shaping and must be rejected like the rest.
     assert_rejected(

@@ -460,6 +460,12 @@ impl ScenarioDef {
                          two lane widths)"
                     ));
                 }
+                if length >= std::f64::consts::TAU * radius.abs() {
+                    return inst_err(format!(
+                        "road.length {length} reaches a full turn of road.radius {radius} \
+                         (a curved road may not overlap itself)"
+                    ));
+                }
                 // Same arc construction (including the 2 m sampling step)
                 // as Road::curved_three_lane.
                 Path::arc(
@@ -1653,13 +1659,23 @@ action = hard_brake(6.0)
 
     #[test]
     fn negative_geometry_is_rejected_at_instantiation() {
-        let text = MINIMAL.replace("length = 500.0", "length = -500.0");
-        let def = ScenarioDef::parse(&text).expect("structurally fine");
-        let e = def.instantiate(0).unwrap_err();
-        assert!(
-            e.to_string().contains("road.length must be positive"),
-            "{e}"
-        );
+        for (road, hint) in [
+            (
+                "kind = straight\nlength = -500.0",
+                "road.length must be positive",
+            ),
+            // 3,000 m around a 400 m radius sweeps 7.5 rad: the arc would
+            // overlap itself.
+            (
+                "kind = curved\nlength = 3000.0\nradius = 400.0",
+                "road.length 3000 reaches a full turn of road.radius 400",
+            ),
+        ] {
+            let text = MINIMAL.replace("kind = straight\nlength = 500.0", road);
+            let def = ScenarioDef::parse(&text).expect("structurally fine");
+            let e = def.instantiate(0).unwrap_err();
+            assert!(e.to_string().contains(hint), "{e}");
+        }
     }
 
     #[test]

@@ -235,11 +235,12 @@ fn param(name: &str, jitter: JitterKind, value: Expr, spread: Option<f64>) -> Pa
 /// Samples one scenario. Ranges are chosen so every template passes
 /// instantiation validation at every sweep seed (jitter moves positions by
 /// at most `spread` meters and speeds by ±1%) and stays clear of
-/// spawn-overlap with the ego at s = 50 m.
+/// spawn-overlap with the ego at s = 50 m. Curved roads stay under one
+/// full turn: 3,000 m at a radius of at least 500 m sweeps at most 6 rad.
 fn fuzz_one(rng: &mut StdRng, name: &str) -> ScenarioDef {
     let curved = rng.gen_range(0..4u32) == 0;
     let radius = if curved {
-        Some(num(round2(rng.gen_range(300.0..800.0))))
+        Some(num(round2(rng.gen_range(500.0..800.0))))
     } else {
         None
     };
@@ -584,6 +585,35 @@ fn parse_config(text: &str) -> Result<GeneratorConfig, FormatError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn fuzzed_curved_roads_stay_under_one_turn() {
+        let defs = FuzzConfig {
+            prefix: "turn".to_string(),
+            count: 1000,
+            seed: 20221207,
+        }
+        .generate();
+        let mut curved = 0;
+        for def in defs.iter().filter(|d| d.road.kind == RoadKind::Curved) {
+            let env = std::collections::BTreeMap::new();
+            let literal = |e: &Expr| e.eval(&env).expect("literal geometry");
+            let length = literal(&def.road.length);
+            let radius = literal(
+                def.road
+                    .radius
+                    .as_ref()
+                    .expect("curved roads carry a radius"),
+            );
+            assert!(
+                length < std::f64::consts::TAU * radius.abs(),
+                "{}: {length} m around radius {radius} m overlaps itself",
+                def.name
+            );
+            curved += 1;
+        }
+        assert!(curved > 150, "the fuzz drew only {curved} curved roads");
+    }
 
     #[test]
     fn fuzz_is_deterministic_and_valid() {
