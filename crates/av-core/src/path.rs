@@ -1173,6 +1173,19 @@ mod tests {
         best
     }
 
+    /// An arc just under one full turn (6.25 rad): its ends sit 16 m
+    /// apart, so a query near either end has two azimuth images in range,
+    /// and the hint-seeded walk's contiguity guard is at its tightest.
+    fn near_full_turn() -> Path {
+        Path::arc(
+            Vec2::ZERO,
+            Radians(0.0),
+            Meters(480.0),
+            Meters(3000.0),
+            Meters(2.0),
+        )
+    }
+
     #[test]
     fn pruned_projection_matches_full_scan_oracle() {
         // The arc-indexed fast path and the block-pruned fallback both
@@ -1196,6 +1209,7 @@ mod tests {
                 Meters(400.0),
                 Meters(1.0),
             ),
+            near_full_turn(),
             // A dense non-arc polyline (sine wave) exercising the generic
             // block-pruned scan.
             Path::from_points(
@@ -1244,6 +1258,7 @@ mod tests {
                 Meters(1500.0),
                 Meters(2.0),
             ),
+            near_full_turn(),
             Path::from_points(
                 (0..400)
                     .map(|i| Vec2::new(i as f64, (i as f64 * 0.12).sin() * 25.0))
