@@ -11,10 +11,6 @@ use crate::units::{Meters, Radians};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
-/// Block size of the pruned fallback scan; polylines at most twice this
-/// long are scanned exhaustively (and get no spatial grid).
-const PRUNE_BLOCK: usize = 16;
-
 /// Error constructing a [`Path`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PathError {
@@ -93,6 +89,9 @@ struct ArcIndex {
     start_angle: f64,
     /// Signed angle swept per polyline segment (positive = CCW).
     seg_angle: f64,
+    /// Longest segment chord (certification margin: any point of a
+    /// segment lies within this of both its endpoints).
+    max_seg: f64,
 }
 
 /// A caller-owned memo of the last winning projection segment, exploiting
@@ -108,187 +107,6 @@ struct ArcIndex {
 pub struct ProjectionHint {
     /// Last winning segment index, if any (`u32::MAX` is never produced).
     seg: Option<u32>,
-}
-
-/// Construction-time uniform spatial grid over a dense polyline's
-/// vertices, making generic (non-arc) centerline projection O(1) like the
-/// arc-indexed fast path.
-///
-/// Each cell stores the inclusive *index hull* `[lo, hi]` of the vertices
-/// it contains. A query (a) finds a nearby vertex by expanding ring
-/// search for a distance upper bound, (b) collects the vertex-index hull
-/// of every cell intersecting the certified disk (bound + longest chord),
-/// and (c) exactly scans that contiguous segment range — ascending, with
-/// the same strict-improvement rule as the classic full scan, so the
-/// result is bit-identical. On self-approaching polylines the hull may
-/// widen toward a full scan; it never loses the winner.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-struct SegmentGrid {
-    /// Grid origin (bounding-box minimum corner).
-    origin: Vec2,
-    /// Cell edge length.
-    cell: f64,
-    /// Cells along x.
-    nx: u32,
-    /// Cells along y.
-    ny: u32,
-    /// Per-cell minimum vertex index (`u32::MAX` marks an empty cell).
-    hull_lo: Vec<u32>,
-    /// Per-cell maximum vertex index (unused when the cell is empty).
-    hull_hi: Vec<u32>,
-    /// Longest segment chord length (certification margin: any point of a
-    /// segment lies within this of both its endpoints).
-    max_seg: f64,
-}
-
-impl SegmentGrid {
-    /// Builds the grid over `points`; `cum_s` supplies chord lengths.
-    fn build(points: &[Vec2], cum_s: &[f64]) -> Self {
-        let n = points.len();
-        let (mut min_x, mut min_y) = (f64::INFINITY, f64::INFINITY);
-        let (mut max_x, mut max_y) = (f64::NEG_INFINITY, f64::NEG_INFINITY);
-        for p in points {
-            min_x = min_x.min(p.x);
-            min_y = min_y.min(p.y);
-            max_x = max_x.max(p.x);
-            max_y = max_y.max(p.y);
-        }
-        let max_seg = (1..n)
-            .map(|i| cum_s[i] - cum_s[i - 1])
-            .fold(0.0f64, f64::max);
-        // Cell edge ~4 average chords keeps a handful of vertices per
-        // occupied cell; grow it until the grid is at most ~4 cells per
-        // vertex so memory stays proportional to the path.
-        let avg_seg = cum_s[n - 1] / (n - 1) as f64;
-        let mut cell = (avg_seg * 4.0).max(1e-6);
-        let dims = |cell: f64| {
-            let nx = ((max_x - min_x) / cell).floor() as u64 + 1;
-            let ny = ((max_y - min_y) / cell).floor() as u64 + 1;
-            (nx, ny)
-        };
-        let mut guard = 0;
-        while {
-            let (nx, ny) = dims(cell);
-            nx * ny > (4 * n as u64).max(64)
-        } {
-            cell *= 2.0;
-            guard += 1;
-            assert!(guard < 64, "segment grid sizing failed to converge");
-        }
-        let (nx, ny) = dims(cell);
-        let (nx, ny) = (nx as u32, ny as u32);
-        let cells = (nx as usize) * (ny as usize);
-        let origin = Vec2::new(min_x, min_y);
-        let mut hull_lo = vec![u32::MAX; cells];
-        let mut hull_hi = vec![0u32; cells];
-        for (i, p) in points.iter().enumerate() {
-            let ix = (((p.x - origin.x) / cell) as u32).min(nx - 1);
-            let iy = (((p.y - origin.y) / cell) as u32).min(ny - 1);
-            let idx = (iy * nx + ix) as usize;
-            let i = i as u32;
-            hull_lo[idx] = hull_lo[idx].min(i);
-            hull_hi[idx] = hull_hi[idx].max(i);
-        }
-        Self {
-            origin,
-            cell,
-            nx,
-            ny,
-            hull_lo,
-            hull_hi,
-            max_seg,
-        }
-    }
-
-    /// Folds one cell's sampled vertices (its hull endpoints) into the
-    /// running squared-distance bound.
-    #[inline]
-    fn sample_cell(&self, ix: u32, iy: u32, point: Vec2, points: &[Vec2], best_sq: &mut f64) {
-        let idx = (iy * self.nx + ix) as usize;
-        let lo = self.hull_lo[idx];
-        if lo == u32::MAX {
-            return;
-        }
-        let hi = self.hull_hi[idx];
-        let d_lo = (point - points[lo as usize]).norm_sq();
-        let d_hi = (point - points[hi as usize]).norm_sq();
-        *best_sq = best_sq.min(d_lo).min(d_hi);
-    }
-
-    /// An upper bound on the distance from `point` to the nearest polyline
-    /// vertex, by expanding ring search from the point's (clamped) cell.
-    /// Sound for points outside the grid too: clamping is a projection
-    /// onto the grid's convex hull, which never shortens distances to
-    /// cells, so the `(ring − 1) · cell` termination bound still holds.
-    fn vertex_bound(&self, point: Vec2, points: &[Vec2]) -> f64 {
-        let cx = (((point.x - self.origin.x) / self.cell).floor().max(0.0) as u32).min(self.nx - 1);
-        let cy = (((point.y - self.origin.y) / self.cell).floor().max(0.0) as u32).min(self.ny - 1);
-        let mut best_sq = f64::INFINITY;
-        let max_r = self.nx.max(self.ny) as i64;
-        for r in 0..=max_r {
-            if best_sq.is_finite() {
-                let floor = (r - 1).max(0) as f64 * self.cell;
-                if floor * floor > best_sq {
-                    break;
-                }
-            }
-            let (cx, cy) = (cx as i64, cy as i64);
-            let (x0, x1) = (cx - r, cx + r);
-            let (y0, y1) = (cy - r, cy + r);
-            let clamp_x = |x: i64| x >= 0 && x < self.nx as i64;
-            let clamp_y = |y: i64| y >= 0 && y < self.ny as i64;
-            // Top and bottom rows of the ring, then the side columns.
-            for y in [y0, y1] {
-                if clamp_y(y) && (y == y0 || y0 != y1) {
-                    for x in x0.max(0)..=x1.min(self.nx as i64 - 1) {
-                        self.sample_cell(x as u32, y as u32, point, points, &mut best_sq);
-                    }
-                }
-            }
-            for x in [x0, x1] {
-                if clamp_x(x) && (x == x0 || x0 != x1) {
-                    for y in (y0 + 1).max(0)..=(y1 - 1).min(self.ny as i64 - 1) {
-                        self.sample_cell(x as u32, y as u32, point, points, &mut best_sq);
-                    }
-                }
-            }
-        }
-        best_sq.sqrt()
-    }
-
-    /// The inclusive vertex-index hull over every cell intersecting the
-    /// axis-aligned box of half-width `bound` around `point`; `None` when
-    /// every such cell is empty.
-    fn hull_within(&self, point: Vec2, bound: f64) -> Option<(usize, usize)> {
-        let x0 = (((point.x - bound - self.origin.x) / self.cell)
-            .floor()
-            .max(0.0) as u32)
-            .min(self.nx - 1);
-        let x1 = (((point.x + bound - self.origin.x) / self.cell)
-            .floor()
-            .max(0.0) as u32)
-            .min(self.nx - 1);
-        let y0 = (((point.y - bound - self.origin.y) / self.cell)
-            .floor()
-            .max(0.0) as u32)
-            .min(self.ny - 1);
-        let y1 = (((point.y + bound - self.origin.y) / self.cell)
-            .floor()
-            .max(0.0) as u32)
-            .min(self.ny - 1);
-        let (mut lo, mut hi) = (u32::MAX, 0u32);
-        for iy in y0..=y1 {
-            let row = (iy * self.nx) as usize;
-            for idx in row + x0 as usize..=row + x1 as usize {
-                let cell_lo = self.hull_lo[idx];
-                if cell_lo != u32::MAX {
-                    lo = lo.min(cell_lo);
-                    hi = hi.max(self.hull_hi[idx]);
-                }
-            }
-        }
-        (lo != u32::MAX).then_some((lo as usize, hi as usize))
-    }
 }
 
 /// An arc-length-parameterized polyline used as a road centerline or a lane
@@ -327,14 +145,12 @@ pub struct Path {
     /// Set when the polyline samples a circular arc; accelerates
     /// projection from O(segments) to O(1) + a tiny verified window.
     arc: Option<ArcIndex>,
-    /// Construction-time spatial grid over the vertices, built for dense
-    /// generic polylines (arc-sampled paths use [`ArcIndex`] instead);
-    /// accelerates projection to O(1) + a certified window.
-    grid: Option<SegmentGrid>,
 }
 
 impl Path {
-    /// Builds a path from a polyline.
+    /// Builds a path from a polyline. A generic polyline carries no
+    /// index: [`Path::project`] answers it by the exhaustive segment scan,
+    /// O(segments) per query.
     ///
     /// # Errors
     ///
@@ -361,8 +177,6 @@ impl Path {
             seg_heading.push(heading);
             seg_left.push(Vec2::from_heading(heading).perp());
         }
-        let grid =
-            (points.len() - 1 > 2 * PRUNE_BLOCK).then(|| SegmentGrid::build(&points, &cum_s));
         Ok(Self {
             points,
             cum_s,
@@ -370,7 +184,6 @@ impl Path {
             seg_heading,
             seg_left,
             arc: None,
-            grid,
         })
     }
 
@@ -435,11 +248,15 @@ impl Path {
             points.push(center + Vec2::from_heading(angle) * r.abs());
         }
         let mut path = Self::from_points(points).expect("arc samples are distinct");
+        let max_seg = (1..=n)
+            .map(|i| path.cum_s[i] - path.cum_s[i - 1])
+            .fold(0.0f64, f64::max);
         path.arc = Some(ArcIndex {
             center,
             radius: r.abs(),
             start_angle: start_angle.value(),
             seg_angle: arc_length.value() / (n as f64) / r,
+            max_seg,
         });
         path
     }
@@ -590,7 +407,7 @@ impl Path {
     }
 
     /// Scans segments `[i0, i1)` for a closer projection than
-    /// `best`, exactly as the classic full scan visits them (ascending,
+    /// `best`, exactly as the exhaustive scan visits them (ascending,
     /// strict improvement), so any pruned search that visits a superset of
     /// the winning segment returns bit-identical results.
     fn project_segments(
@@ -630,20 +447,21 @@ impl Path {
     /// Points beyond the ends project onto the extrapolated end tangents
     /// (yielding `s < 0` or `s > length`).
     ///
-    /// Dense polylines take one of two fast paths, both returning results
-    /// bit-identical to the classic exhaustive segment scan (pinned by the
-    /// oracle test in this module): arc-sampled paths jump via the
-    /// [`Path::arc`] circle index, generic dense polylines via the
-    /// construction-time vertex grid ([`Path::project_with_hint`] explains
-    /// the certification). Anything else falls back to a block-pruned
-    /// scan.
+    /// Every query takes one of three routes, and each returns exactly
+    /// what the exhaustive segment scan returns (pinned by the oracle
+    /// tests in this module). A [`Path::arc`] path answers a hinted query
+    /// by a short walk outward from the hinted segment
+    /// ([`Path::project_with_hint`]), and any other query by its circle
+    /// index: the query's azimuth guesses the segment, and the law of
+    /// cosines certifies a window around the guess. Every other path, and
+    /// any query both arc routes decline, takes the exhaustive scan.
     ///
     /// ```
     /// use av_core::geometry::Vec2;
     /// use av_core::path::Path;
     /// use av_core::units::{Meters, Radians};
     ///
-    /// // A dense sine-wave centerline: projection is grid-accelerated.
+    /// // A sine-wave centerline: a generic polyline, scanned exhaustively.
     /// let path = Path::from_points(
     ///     (0..300)
     ///         .map(|i| Vec2::new(i as f64, (i as f64 * 0.1).sin() * 10.0))
@@ -664,57 +482,27 @@ impl Path {
     /// that re-project slowly moving points every tick, like the planner
     /// projecting each tracked vehicle into road coordinates.
     ///
-    /// The hinted segment's distance upper-bounds the optimum, certifying
-    /// a (usually tiny) candidate window around it; the window is scanned
-    /// exactly, in ascending order with the full scan's strict-improvement
-    /// rule. The answer is therefore **bit-identical to [`Path::project`]
-    /// for every hint state** — a stale hint only costs speed.
+    /// On an arc path the hinted segment's distance upper-bounds the
+    /// optimum, certifying a (usually tiny) candidate window around it;
+    /// the window is scanned exactly, in ascending order with the full
+    /// scan's strict-improvement rule. Other paths only refresh the hint.
+    /// The answer is therefore **bit-identical to [`Path::project`] for
+    /// every hint state** — a stale hint only costs speed.
     pub fn project_with_hint(&self, point: Vec2, hint: &mut ProjectionHint) -> FrenetPose {
         self.project_impl(point, Some(hint))
     }
 
     fn project_impl(&self, point: Vec2, hint: Option<&mut ProjectionHint>) -> FrenetPose {
         let nseg = self.points.len() - 1;
-        let pose = 'found: {
-            if nseg <= 2 * PRUNE_BLOCK {
-                let mut best_d2 = f64::INFINITY;
-                let mut best = FrenetPose::default();
-                self.project_segments(point, 0, nseg, &mut best_d2, &mut best);
-                break 'found best;
-            }
-            // A valid hint replaces the grid's ring search (and, on arc
-            // paths, the whole azimuth-indexed machinery): the distance to
-            // the hinted segment is already an upper bound on the optimum.
-            let hinted = hint
-                .as_ref()
-                .and_then(|h| h.seg)
-                .map(|h| (h as usize).min(nseg - 1));
-            let seed = hinted.map(|h| {
-                let mut d2 = f64::INFINITY;
-                let mut scratch = FrenetPose::default();
-                self.project_segments(point, h, h + 1, &mut d2, &mut scratch);
-                d2.sqrt()
-            });
-            if let (Some(arc), Some(h), Some(upper)) = (self.arc, hinted, seed) {
-                if let Some(pose) = self.project_arc_seeded(point, &arc, h, upper) {
-                    break 'found pose;
-                }
-            }
-            if let Some(grid) = &self.grid {
-                if seed.is_some() {
-                    break 'found self.project_grid(point, grid, seed);
-                }
-            }
-            if let Some(arc) = self.arc {
-                if let Some(pose) = self.project_arc(point, &arc) {
-                    break 'found pose;
-                }
-            }
-            if let Some(grid) = &self.grid {
-                break 'found self.project_grid(point, grid, seed);
-            }
-            self.project_pruned(point)
-        };
+        let pose = self
+            .arc
+            .and_then(|arc| {
+                hint.as_ref()
+                    .and_then(|h| h.seg)
+                    .and_then(|h| self.project_arc_seeded(point, &arc, (h as usize).min(nseg - 1)))
+                    .or_else(|| self.project_arc(point, &arc))
+            })
+            .unwrap_or_else(|| self.project_scan(point));
         if let Some(hint) = hint {
             // Remember the winning segment (derived from the winning arc
             // length; queries beyond the ends clamp to the terminals).
@@ -731,98 +519,21 @@ impl Path {
         pose
     }
 
-    /// Grid-accelerated exact projection: certify a candidate vertex hull
-    /// from a distance upper bound (`seed` if the caller has one, else a
-    /// ring search), then scan `{first} ∪ hull ∪ {last}` ascending with
-    /// strict improvement — the full scan's visit discipline over a
-    /// certified superset of every segment that could win.
-    fn project_grid(&self, point: Vec2, grid: &SegmentGrid, seed: Option<f64>) -> FrenetPose {
-        let nseg = self.points.len() - 1;
-        let upper = seed.unwrap_or_else(|| grid.vertex_bound(point, &self.points));
-        // Any segment that could win has a point within `upper` of the
-        // query, hence a vertex within `upper + max_seg`; the margin
-        // absorbs the rounding of the distance arithmetic.
-        let bound = upper + grid.max_seg + 1e-6;
+    /// The exhaustive scan: every segment, ascending, strict improvement.
+    /// The reference the arc routes reproduce bit for bit.
+    fn project_scan(&self, point: Vec2) -> FrenetPose {
         let mut best_d2 = f64::INFINITY;
         let mut best = FrenetPose::default();
-        match grid.hull_within(point, bound) {
-            Some((mut lo_v, mut hi_v)) => {
-                // The cell hull is coarse (whole cells); shrink it to the
-                // vertices actually inside the certified disk before the
-                // exact scan — still a superset of every vertex within
-                // `bound`, so the certification argument is unchanged.
-                let b2 = bound * bound;
-                while lo_v < hi_v && (point - self.points[lo_v]).norm_sq() > b2 {
-                    lo_v += 1;
-                }
-                while hi_v > lo_v && (point - self.points[hi_v]).norm_sq() > b2 {
-                    hi_v -= 1;
-                }
-                let (lo, hi) = (lo_v.saturating_sub(1), hi_v.min(nseg - 1) + 1);
-                if lo > 0 {
-                    self.project_segments(point, 0, 1, &mut best_d2, &mut best);
-                }
-                self.project_segments(point, lo, hi, &mut best_d2, &mut best);
-                if hi < nseg {
-                    self.project_segments(point, nseg - 1, nseg, &mut best_d2, &mut best);
-                }
-            }
-            // No vertex near the query (possible only with a seeded bound,
-            // from an extrapolating terminal hint): only the terminal
-            // segments, which extrapolate, can win. Scan both.
-            None => {
-                self.project_segments(point, 0, 1, &mut best_d2, &mut best);
-                self.project_segments(point, nseg - 1, nseg, &mut best_d2, &mut best);
-            }
-        }
-        best
-    }
-
-    /// The block-pruned fallback scan for paths with neither an arc index
-    /// nor a vertex grid.
-    fn project_pruned(&self, point: Vec2) -> FrenetPose {
-        let mut best_d2 = f64::INFINITY;
-        let mut best = FrenetPose::default();
-        const BLOCK: usize = PRUNE_BLOCK;
-        // Coarse pass over blocks of BLOCK segments: squared distances to
-        // the block-boundary vertices only, no square roots, no
-        // allocation. `best_d` mirrors sqrt(best_d2), refreshed only on
-        // improvement.
-        let n = self.points.len();
-        let mut best_d = f64::INFINITY;
-        let mut i0 = 0usize;
-        let mut d2_start = (point - self.points[0]).norm_sq();
-        while i0 < n - 1 {
-            let i1 = (i0 + BLOCK).min(n - 1);
-            let d2_end = (point - self.points[i1]).norm_sq();
-            let span = self.cum_s[i1] - self.cum_s[i0];
-            // Any point q on this block lies within `span` (arc length
-            // bounds chord) of both boundary vertices, so |point - q| >=
-            // max(d_boundary) - span. Prune only when that lower bound
-            // clears the running best by a safety margin absorbing the
-            // squared-arithmetic rounding. Terminal blocks extrapolate and
-            // are always scanned.
-            let terminal = i0 == 0 || i1 == n - 1;
-            let threshold = best_d + span + 1e-9;
-            if terminal || d2_start.max(d2_end) <= threshold * threshold {
-                let before = best_d2;
-                self.project_segments(point, i0, i1, &mut best_d2, &mut best);
-                if best_d2 < before {
-                    best_d = best_d2.sqrt();
-                }
-            }
-            i0 = i1;
-            d2_start = d2_end;
-        }
+        self.project_segments(point, 0, self.points.len() - 1, &mut best_d2, &mut best);
         best
     }
 
     /// Hint-seeded arc projection: expand a certified vertex window
-    /// *outward from the hinted segment* instead of going through the
-    /// vertex grid or the azimuth index — no `atan2`, no cell walk, just
-    /// a handful of squared distances.
+    /// *outward from the hinted segment `h`* instead of going through the
+    /// azimuth index — no `atan2`, just a handful of squared distances.
     ///
-    /// Certification: every point of a segment lies within half the
+    /// Certification: the distance `upper` to the hinted segment bounds
+    /// the optimum. Every point of a segment lies within half the
     /// segment's chord of one of its endpoints, so the winning segment
     /// has a vertex within `b = upper + max_seg/2 (+ margin)` of the
     /// query — and so does the hinted segment itself, which starts the
@@ -837,21 +548,16 @@ impl Path {
     /// therefore makes the run contiguous, and the two outward walks
     /// recover the complete certified hull. The hull (plus the
     /// always-scanned extrapolating terminals) is then scanned ascending
-    /// with the strict-improvement rule — the classic scan's discipline
+    /// with the strict-improvement rule — the exhaustive scan's discipline
     /// over a certified superset of every segment that could win, hence
-    /// bit-identical results.
+    /// bit-identical results. This is the contiguity argument that needs
+    /// [`Path::arc`]'s rule of no self-overlap: the sweep stays under `τ`.
     ///
-    /// Returns `None` (caller falls back to the grid/azimuth machinery)
-    /// when the sweep reaches a full turn, the bound is too wide for the
-    /// contiguity argument, or the walk cannot even seat its start vertex
-    /// (float paranoia; mathematically impossible).
-    fn project_arc_seeded(
-        &self,
-        point: Vec2,
-        arc: &ArcIndex,
-        h: usize,
-        upper: f64,
-    ) -> Option<FrenetPose> {
+    /// Returns `None` (caller falls back to the azimuth index) when the
+    /// sweep is within the margin of a full turn, the bound is too wide
+    /// for the contiguity argument, or the walk cannot seat its start
+    /// vertex (an extrapolating terminal hint can lie far beyond it).
+    fn project_arc_seeded(&self, point: Vec2, arc: &ArcIndex, h: usize) -> Option<FrenetPose> {
         use std::f64::consts::TAU;
         let nseg = self.points.len() - 1;
         let sweep = nseg as f64 * arc.seg_angle.abs();
@@ -859,17 +565,17 @@ impl Path {
         if w_max <= 0.0 {
             return None;
         }
-        // `self.grid` always exists here: the seeded path only runs for
-        // polylines dense enough to have built one.
-        let max_seg = self.grid.as_ref()?.max_seg;
-        let b = upper + 0.5 * max_seg + 1e-6;
+        let mut upper_d2 = f64::INFINITY;
+        let mut hinted = FrenetPose::default();
+        self.project_segments(point, h, h + 1, &mut upper_d2, &mut hinted);
+        let b = upper_d2.sqrt() + 0.5 * arc.max_seg + 1e-6;
         let r2 = (point - arc.center).norm_sq();
         // `w ≤ w_max` ⟺ `cos w ≥ cos w_max` (both in [0, π]); `cos w`
         // from the law of cosines without ever taking the `acos`, and
         // `cos w_max` replaced by its truncated Taylor series — an upper
         // bound on `[0, π]` (alternating series, decreasing terms), so
         // the guard only gets *stricter*: a rejection here falls back to
-        // the exact grid scan, never past it. When `w_max ≥ π` any
+        // the azimuth index, never past it. When `w_max ≥ π` any
         // interval is contiguous — skip the test (its cosine comparison
         // would be meaningless there).
         if w_max < std::f64::consts::PI {
@@ -896,8 +602,8 @@ impl Path {
             hi_v += 1;
         }
         // Vertex run -> segment hull (segment i owns vertices i and i+1),
-        // then the classic visit order: terminal start, hull, terminal
-        // end, ascending with strict improvement.
+        // then the exhaustive scan's visit order: terminal start, hull,
+        // terminal end, ascending with strict improvement.
         let (lo, hi) = (lo_v.saturating_sub(1), hi_v.min(nseg - 1) + 1);
         let mut best_d2 = f64::INFINITY;
         let mut best = FrenetPose::default();
@@ -931,7 +637,7 @@ impl Path {
     /// both of whose vertices lie beyond the certified angular window is
     /// provably farther than the best already found. Terminal segments are
     /// always scanned (they extrapolate). Returns `None` when the query is
-    /// too close to the circle center for a stable azimuth (the generic
+    /// too close to the circle center for a stable azimuth (the exhaustive
     /// scan handles it).
     fn project_arc(&self, point: Vec2, arc: &ArcIndex) -> Option<FrenetPose> {
         use std::f64::consts::TAU;
@@ -942,7 +648,8 @@ impl Path {
             return None;
         }
         // Query azimuth relative to the first vertex, in segment units.
-        // Sweeps beyond a full turn are covered by the k-images below.
+        // An arc under one turn can still straddle `atan2`'s branch cut at
+        // ±π, so its window may sit at any of the k-images below.
         let base = rel.y.atan2(rel.x) - arc.start_angle;
         let turns = (nseg as f64 * arc.seg_angle.abs()) / TAU;
         let k_max = turns.ceil() as i64 + 1;
@@ -989,8 +696,7 @@ impl Path {
         // vertex distance - segment length), i.e. within `theta_max` of
         // its azimuth. The 1e-6 margin absorbs vertex rounding off the
         // ideal circle.
-        let max_seg = self.cum_s[nseg] / nseg as f64;
-        let bound = pre_d2.sqrt() + max_seg + 1e-6;
+        let bound = pre_d2.sqrt() + arc.max_seg + 1e-6;
         let cos_max = (arc.radius * arc.radius + r * r - bound * bound) / (2.0 * arc.radius * r);
         let (mut lo, mut hi) = (w_lo, w_hi);
         if cos_max < -1.0 {
@@ -1020,7 +726,7 @@ impl Path {
         }
         // Final pass in globally ascending order: terminal start, the
         // certified hull, terminal end — same visit order and strict
-        // improvement rule as the classic scan.
+        // improvement rule as the exhaustive scan.
         let mut best_d2 = f64::INFINITY;
         let mut best = FrenetPose::default();
         if lo > 0 {
@@ -1165,14 +871,6 @@ mod tests {
         assert!(msg.contains('3'));
     }
 
-    /// The classic exhaustive scan, as an oracle for the pruned search.
-    fn full_scan(path: &Path, point: Vec2) -> FrenetPose {
-        let mut best_d2 = f64::INFINITY;
-        let mut best = FrenetPose::default();
-        path.project_segments(point, 0, path.points().len() - 1, &mut best_d2, &mut best);
-        best
-    }
-
     /// An arc just under one full turn (6.25 rad): its ends sit 16 m
     /// apart, so a query near either end has two azimuth images in range,
     /// and the hint-seeded walk's contiguity guard is at its tightest.
@@ -1188,10 +886,10 @@ mod tests {
 
     #[test]
     fn pruned_projection_matches_full_scan_oracle() {
-        // The arc-indexed fast path and the block-pruned fallback both
-        // claim bit-identical results to the exhaustive scan; pin it over
-        // a sweep of query points around several dense paths, including
-        // on-path, off-path, near-center, beyond-end and far-away points.
+        // Every projection route claims bit-identical results to the
+        // exhaustive scan; pin it over a sweep of query points around
+        // several dense paths, including on-path, off-path, near-center,
+        // beyond-end and far-away points.
         let paths = [
             // The catalog's curved road geometry (left arc).
             Path::arc(
@@ -1210,8 +908,8 @@ mod tests {
                 Meters(1.0),
             ),
             near_full_turn(),
-            // A dense non-arc polyline (sine wave) exercising the generic
-            // block-pruned scan.
+            // A dense non-arc polyline (sine wave): routed to the
+            // exhaustive scan itself.
             Path::from_points(
                 (0..400)
                     .map(|i| Vec2::new(i as f64, (i as f64 * 0.12).sin() * 25.0))
@@ -1234,21 +932,21 @@ mod tests {
                 let base = path.pose_at(Meters(s)).position;
                 let point = base + Vec2::new(next() * 60.0, next() * 60.0);
                 let fast = path.project(point);
-                let oracle = full_scan(path, point);
+                let oracle = path.project_scan(point);
                 assert_eq!(fast, oracle, "path len {length:.0}, query {point}");
             }
             // Degenerate-direction spot checks: the arc's circle center
             // and points straight out from each end.
             for point in [Vec2::ZERO, Vec2::new(-500.0, 0.0), Vec2::new(0.0, 900.0)] {
-                assert_eq!(path.project(point), full_scan(path, point));
+                assert_eq!(path.project(point), path.project_scan(point));
             }
         }
     }
 
     #[test]
     fn hinted_projection_is_bit_identical_for_any_hint() {
-        // Dense arc, dense sine wave (grid path), and a short path: the
-        // hinted projection must equal the plain one under a coherent
+        // Two dense arcs, a dense sine wave, and a short path: the hinted
+        // projection must equal the exhaustive scan under a coherent
         // hint, a stale hint, an adversarial hint, and an empty hint.
         let paths = [
             Path::arc(
@@ -1280,7 +978,7 @@ mod tests {
                 let point = base.position + left * lateral;
                 assert_eq!(
                     path.project_with_hint(point, &mut hint),
-                    path.project(point),
+                    path.project_scan(point),
                     "coherent hint diverged at i={i}"
                 );
             }
@@ -1294,7 +992,7 @@ mod tests {
                 Vec2::ZERO,
             ];
             for &point in &queries {
-                let expected = path.project(point);
+                let expected = path.project_scan(point);
                 for seg in (0..nseg.min(64)).chain([nseg.saturating_sub(1), nseg, nseg + 1000]) {
                     let mut hint = ProjectionHint {
                         seg: Some(seg as u32),
@@ -1309,25 +1007,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn grid_is_built_only_for_dense_polylines() {
-        let short = Path::straight(Vec2::ZERO, Radians(0.0), Meters(10.0));
-        assert!(short.grid.is_none(), "2-point path needs no grid");
-        let arc = Path::arc(
-            Vec2::ZERO,
-            Radians(0.0),
-            Meters(100.0),
-            Meters(300.0),
-            Meters(1.0),
-        );
-        // Arc paths carry both: the arc index answers cold queries, the
-        // grid answers hint-seeded ones.
-        assert!(arc.arc.is_some() && arc.grid.is_some());
-        let dense = Path::from_points((0..100).map(|i| Vec2::new(i as f64, 0.0)).collect())
-            .expect("valid polyline");
-        assert!(dense.grid.is_some(), "dense generic polyline gets a grid");
     }
 
     #[test]
