@@ -113,18 +113,6 @@ impl SweepPlanBuilder {
         self
     }
 
-    /// Adds one collision probe per rate (no traces kept) — the old
-    /// brute-force rate grid, when you really want every point.
-    pub fn probe_rates(mut self, rates: &[f64]) -> Self {
-        for &fpr in rates {
-            self.kinds.push(JobKind::Probe {
-                plan: RateSpec::Uniform(fpr),
-                keep_trace: false,
-            });
-        }
-        self
-    }
-
     /// Adds a collision probe at an explicit per-camera plan.
     pub fn probe_per_camera(mut self, rates: Vec<f64>, keep_trace: bool) -> Self {
         self.kinds.push(JobKind::Probe {

@@ -275,11 +275,6 @@ impl<'a> TrajectoryFuture<'a> {
         }
     }
 
-    /// The probability carried by the underlying trajectory.
-    pub fn trajectory_probability(&self) -> f64 {
-        self.trajectory.probability()
-    }
-
     /// Whether the actor is inactive everywhere on the segment from world
     /// point `a` to world point `b`: both ends past the same corridor
     /// edge, or both behind the ego, by `QUIET_MARGIN`. Sound only on an
