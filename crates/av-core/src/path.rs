@@ -484,8 +484,9 @@ impl Path {
     ///
     /// On an arc path the hinted segment's distance upper-bounds the
     /// optimum, certifying a (usually tiny) candidate window around it;
-    /// the window is scanned exactly, in ascending order with the full
-    /// scan's strict-improvement rule. Other paths only refresh the hint.
+    /// the window is scanned exactly, in ascending order with the
+    /// exhaustive scan's strict-improvement rule. Other paths only refresh
+    /// the hint.
     /// The answer is therefore **bit-identical to [`Path::project`] for
     /// every hint state** — a stale hint only costs speed.
     pub fn project_with_hint(&self, point: Vec2, hint: &mut ProjectionHint) -> FrenetPose {
@@ -550,8 +551,7 @@ impl Path {
     /// always-scanned extrapolating terminals) is then scanned ascending
     /// with the strict-improvement rule — the exhaustive scan's discipline
     /// over a certified superset of every segment that could win, hence
-    /// bit-identical results. This is the contiguity argument that needs
-    /// [`Path::arc`]'s rule of no self-overlap: the sweep stays under `τ`.
+    /// bit-identical results.
     ///
     /// Returns `None` (caller falls back to the azimuth index) when the
     /// sweep is within the margin of a full turn, the bound is too wide
@@ -566,8 +566,8 @@ impl Path {
             return None;
         }
         let mut upper_d2 = f64::INFINITY;
-        let mut hinted = FrenetPose::default();
-        self.project_segments(point, h, h + 1, &mut upper_d2, &mut hinted);
+        let mut scratch = FrenetPose::default();
+        self.project_segments(point, h, h + 1, &mut upper_d2, &mut scratch);
         let b = upper_d2.sqrt() + 0.5 * arc.max_seg + 1e-6;
         let r2 = (point - arc.center).norm_sq();
         // `w ≤ w_max` ⟺ `cos w ≥ cos w_max` (both in [0, π]); `cos w`
