@@ -143,7 +143,7 @@ pub struct Path {
     /// once so Frenet-to-world conversions pay no trig per call.
     seg_left: Vec<Vec2>,
     /// Set when the polyline samples a circular arc; accelerates
-    /// projection from O(segments) to O(1) + a tiny verified window.
+    /// projection from O(segments) to a short certified walk.
     arc: Option<ArcIndex>,
 }
 
@@ -447,14 +447,12 @@ impl Path {
     /// Points beyond the ends project onto the extrapolated end tangents
     /// (yielding `s < 0` or `s > length`).
     ///
-    /// Every query takes one of three routes, and each returns exactly
-    /// what the exhaustive segment scan returns (pinned by the oracle
-    /// tests in this module). A [`Path::arc`] path answers a hinted query
-    /// by a short walk outward from the hinted segment
-    /// ([`Path::project_with_hint`]), and any other query by its circle
-    /// index: the query's azimuth guesses the segment, and the law of
-    /// cosines certifies a window around the guess. Every other path, and
-    /// any query both arc routes decline, takes the exhaustive scan.
+    /// The answer is exactly what the exhaustive segment scan returns
+    /// (pinned by the oracle tests in this module). A [`Path::arc`] path
+    /// answers by a short certified walk outward from a seed segment: the
+    /// hinted one ([`Path::project_with_hint`]) first, else the one
+    /// nearest the query's azimuth around the circle center. Every other
+    /// path, and any query both walks decline, takes the exhaustive scan.
     ///
     /// ```
     /// use av_core::geometry::Vec2;
@@ -482,11 +480,10 @@ impl Path {
     /// that re-project slowly moving points every tick, like the planner
     /// projecting each tracked vehicle into road coordinates.
     ///
-    /// On an arc path the hinted segment's distance upper-bounds the
-    /// optimum, certifying a (usually tiny) candidate window around it;
-    /// the window is scanned exactly, in ascending order with the
-    /// exhaustive scan's strict-improvement rule. Other paths only refresh
-    /// the hint.
+    /// On an arc path the walk starts from the hinted segment, whose
+    /// distance upper-bounds the optimum, and certifies a (usually tiny)
+    /// candidate window around it without an `atan2`. Other paths only
+    /// refresh the hint.
     /// The answer is therefore **bit-identical to [`Path::project`] for
     /// every hint state** — a stale hint only costs speed.
     pub fn project_with_hint(&self, point: Vec2, hint: &mut ProjectionHint) -> FrenetPose {
@@ -501,7 +498,9 @@ impl Path {
                 hint.as_ref()
                     .and_then(|h| h.seg)
                     .and_then(|h| self.project_arc_seeded(point, &arc, (h as usize).min(nseg - 1)))
-                    .or_else(|| self.project_arc(point, &arc))
+                    .or_else(|| {
+                        self.project_arc_seeded(point, &arc, self.azimuth_segment(point, &arc))
+                    })
             })
             .unwrap_or_else(|| self.project_scan(point));
         if let Some(hint) = hint {
@@ -521,7 +520,7 @@ impl Path {
     }
 
     /// The exhaustive scan: every segment, ascending, strict improvement.
-    /// The reference the arc routes reproduce bit for bit.
+    /// The reference the arc walk reproduces bit for bit.
     fn project_scan(&self, point: Vec2) -> FrenetPose {
         let mut best_d2 = f64::INFINITY;
         let mut best = FrenetPose::default();
@@ -529,15 +528,15 @@ impl Path {
         best
     }
 
-    /// Hint-seeded arc projection: expand a certified vertex window
-    /// *outward from the hinted segment `h`* instead of going through the
-    /// azimuth index — no `atan2`, just a handful of squared distances.
+    /// Arc projection by a certified walk outward from the seed segment
+    /// `h` — no `atan2`, just a handful of squared distances. The seed
+    /// only has to be a good guess: any seed certifies its own answer.
     ///
-    /// Certification: the distance `upper` to the hinted segment bounds
+    /// Certification: the distance `upper` to the seed segment bounds
     /// the optimum. Every point of a segment lies within half the
     /// segment's chord of one of its endpoints, so the winning segment
     /// has a vertex within `b = upper + max_seg/2 (+ margin)` of the
-    /// query — and so does the hinted segment itself, which starts the
+    /// query — and so does the seed segment itself, which starts the
     /// walk. The vertex distances `sqrt(R² + r² − 2·R·r·cos Δθ)` are a
     /// function of the azimuth gap alone, so `{vertex: dist ≤ b}` is the
     /// arc's intersection with one circular azimuth interval of
@@ -553,10 +552,11 @@ impl Path {
     /// over a certified superset of every segment that could win, hence
     /// bit-identical results.
     ///
-    /// Returns `None` (caller falls back to the azimuth index) when the
-    /// sweep is within the margin of a full turn, the bound is too wide
-    /// for the contiguity argument, or the walk cannot seat its start
-    /// vertex (an extrapolating terminal hint can lie far beyond it).
+    /// Returns `None` (the caller tries the azimuth seed, then the
+    /// exhaustive scan) when the sweep is within the margin of a full
+    /// turn, the bound is too wide for the contiguity argument, or the
+    /// walk cannot seat its start vertex (an extrapolating terminal seed
+    /// can lie far beyond it).
     fn project_arc_seeded(&self, point: Vec2, arc: &ArcIndex, h: usize) -> Option<FrenetPose> {
         use std::f64::consts::TAU;
         let nseg = self.points.len() - 1;
@@ -574,8 +574,8 @@ impl Path {
         // from the law of cosines without ever taking the `acos`, and
         // `cos w_max` replaced by its truncated Taylor series — an upper
         // bound on `[0, π]` (alternating series, decreasing terms), so
-        // the guard only gets *stricter*: a rejection here falls back to
-        // the azimuth index, never past it. When `w_max ≥ π` any
+        // the guard only gets *stricter*: a rejection here declines the
+        // walk, never admits a split run. When `w_max ≥ π` any
         // interval is contiguous — skip the test (its cosine comparison
         // would be meaningless there).
         if w_max < std::f64::consts::PI {
@@ -629,114 +629,25 @@ impl Path {
         Some(best)
     }
 
-    /// Arc-indexed projection: use the query's azimuth around the circle
-    /// center for an O(1) segment guess, then scan a window whose
-    /// completeness is certified by the law of cosines — a vertex at
-    /// angular offset Δθ from the query azimuth sits at distance
-    /// `sqrt(R² + r² − 2·R·r·cos Δθ)`, monotone in |Δθ|, so every segment
-    /// both of whose vertices lie beyond the certified angular window is
-    /// provably farther than the best already found. Terminal segments are
-    /// always scanned (they extrapolate). Returns `None` when the query is
-    /// too close to the circle center for a stable azimuth (the exhaustive
-    /// scan handles it).
-    fn project_arc(&self, point: Vec2, arc: &ArcIndex) -> Option<FrenetPose> {
+    /// The segment nearest the query's azimuth around the arc's center:
+    /// the walk's seed when there is no usable hint. The swept angle from
+    /// the first vertex is taken modulo a full turn, since the azimuth
+    /// wraps at ±π; an azimuth outside the sweep seeds the nearer end.
+    fn azimuth_segment(&self, point: Vec2, arc: &ArcIndex) -> usize {
         use std::f64::consts::TAU;
         let nseg = self.points.len() - 1;
         let rel = point - arc.center;
-        let r = rel.norm_sq().sqrt();
-        if r < 1e-6 {
-            return None;
-        }
-        // Query azimuth relative to the first vertex, in segment units.
-        // An arc under one turn can still straddle `atan2`'s branch cut at
-        // ±π, so its window may sit at any of the k-images below.
-        let base = rel.y.atan2(rel.x) - arc.start_angle;
-        let turns = (nseg as f64 * arc.seg_angle.abs()) / TAU;
-        let k_max = turns.ceil() as i64 + 1;
-        let image = |k: i64| (base + k as f64 * TAU) / arc.seg_angle;
-        // The image closest to the valid index range seeds the guess.
-        let mut guess = image(0);
-        let mut guess_overshoot = f64::INFINITY;
-        for k in -k_max..=k_max {
-            let i = image(k);
-            let overshoot = (-i).max(i - nseg as f64).max(0.0);
-            if overshoot < guess_overshoot {
-                guess_overshoot = overshoot;
-                guess = i;
-            }
-        }
-        let gi = guess.clamp(0.0, (nseg - 1) as f64) as usize;
-
-        // Preliminary pass: a small window around the guess plus the
-        // terminal segments, to establish an upper bound on the distance.
-        // Terminal segments extrapolate along their lines, so the exact
-        // point-to-line distance (one cross product) lower-bounds them;
-        // when it cannot beat the window's best they are skipped — but
-        // never skipped for ties, keeping the scan's first-wins order.
-        let (w_lo, w_hi) = (gi.saturating_sub(4), (gi + 5).min(nseg));
-        let line_dist = |i: usize| (self.seg_unit[i].cross(point - self.points[i])).abs();
-        let mut pre_d2 = f64::INFINITY;
-        let mut pre = FrenetPose::default();
-        if w_lo > 0 {
-            let d0 = line_dist(0);
-            if d0 * d0 <= (point - self.points[w_lo]).norm_sq() {
-                self.project_segments(point, 0, 1, &mut pre_d2, &mut pre);
-            }
-        }
-        self.project_segments(point, w_lo, w_hi, &mut pre_d2, &mut pre);
-        if w_hi < nseg {
-            let dn = line_dist(nseg - 1);
-            if dn * dn <= pre_d2 {
-                self.project_segments(point, nseg - 1, nseg, &mut pre_d2, &mut pre);
-            }
-        }
-
-        // Certify the window: any segment that could still win has a
-        // vertex within `bound` of the query (chord distance >= nearest
-        // vertex distance - segment length), i.e. within `theta_max` of
-        // its azimuth. The 1e-6 margin absorbs vertex rounding off the
-        // ideal circle.
-        let bound = pre_d2.sqrt() + arc.max_seg + 1e-6;
-        let cos_max = (arc.radius * arc.radius + r * r - bound * bound) / (2.0 * arc.radius * r);
-        let (mut lo, mut hi) = (w_lo, w_hi);
-        if cos_max < -1.0 {
-            // Everything qualifies; give up on pruning.
-            (lo, hi) = (0, nseg);
-        } else if cos_max <= 1.0 {
-            let half_width = cos_max.acos() / arc.seg_angle.abs();
-            for k in -k_max..=k_max {
-                let center = image(k);
-                let (v_lo, v_hi) = (center - half_width, center + half_width);
-                if v_hi < 0.0 || v_lo > nseg as f64 {
-                    continue;
-                }
-                // Vertex window -> segment window (segment i owns
-                // vertices i and i+1), clamped and floored outward.
-                let s_lo = (v_lo.floor() - 1.0).max(0.0) as usize;
-                let s_hi = (v_hi.ceil() as usize + 1).min(nseg);
-                lo = lo.min(s_lo);
-                hi = hi.max(s_hi);
-            }
-        }
-        // The preliminary pass already visited {0} ∪ window ∪ {last} in
-        // ascending order with the scan's strict-improvement rule; when
-        // the certified hull adds nothing, its result is final.
-        if lo >= w_lo && hi <= w_hi {
-            return Some(pre);
-        }
-        // Final pass in globally ascending order: terminal start, the
-        // certified hull, terminal end — same visit order and strict
-        // improvement rule as the exhaustive scan.
-        let mut best_d2 = f64::INFINITY;
-        let mut best = FrenetPose::default();
-        if lo > 0 {
-            self.project_segments(point, 0, 1, &mut best_d2, &mut best);
-        }
-        self.project_segments(point, lo, hi, &mut best_d2, &mut best);
-        if hi < nseg {
-            self.project_segments(point, nseg - 1, nseg, &mut best_d2, &mut best);
-        }
-        Some(best)
+        let swept =
+            ((rel.y.atan2(rel.x) - arc.start_angle) * arc.seg_angle.signum()).rem_euclid(TAU);
+        let sweep = nseg as f64 * arc.seg_angle.abs();
+        let i = if swept <= sweep {
+            swept / arc.seg_angle.abs()
+        } else if swept - sweep < TAU - swept {
+            nseg as f64
+        } else {
+            0.0
+        };
+        (i as usize).min(nseg - 1)
     }
 
     /// Converts a Frenet pose back into a world point.
@@ -872,8 +783,8 @@ mod tests {
     }
 
     /// An arc just under one full turn (6.25 rad): its ends sit 16 m
-    /// apart, so a query near either end has two azimuth images in range,
-    /// and the hint-seeded walk's contiguity guard is at its tightest.
+    /// apart, so a query near one end is near the other too, and the
+    /// walk's contiguity guard is at its tightest.
     fn near_full_turn() -> Path {
         Path::arc(
             Vec2::ZERO,
@@ -886,8 +797,8 @@ mod tests {
 
     #[test]
     fn pruned_projection_matches_full_scan_oracle() {
-        // Every projection route claims bit-identical results to the
-        // exhaustive scan; pin it over a sweep of query points around
+        // Projection claims bit-identical results to the exhaustive scan
+        // from either walk seed; pin it over a sweep of query points around
         // several dense paths, including on-path, off-path, near-center,
         // beyond-end and far-away points.
         let paths = [
