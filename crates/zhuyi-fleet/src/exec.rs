@@ -13,6 +13,12 @@
 //! every job when [`ExecOptions::record_traces`] forces the classic path
 //! (the `fleet_sweep --record-traces` flag, and the baseline that the
 //! `perf_baseline` benchmark measures the streaming path against).
+//!
+//! An analysis job walks its trace once, whatever the predictor: each
+//! analyzed scene goes through Zhuyi's one estimation step
+//! ([`zhuyi::pipeline::estimate_scene`]), fed the trace's own future by
+//! the oracle ([`analyze_step`]) or a predictor's futures by the online
+//! estimator ([`OnlineEstimator::estimate`]).
 
 use crate::job::{JobKind, JobSpec, PredictorChoice};
 use crate::search::{min_safe_fpr_batched, min_safe_fpr_with};
@@ -25,7 +31,7 @@ use av_scenarios::catalog::Scenario;
 use av_sim::io::trace_to_csv;
 use av_sim::observer::{MetricsObserver, RunSummary};
 use av_sim::trace::Trace;
-use zhuyi::pipeline::{analyze_trace, PipelineConfig};
+use zhuyi::pipeline::{analyze_step, PipelineConfig};
 use zhuyi::{TolerableLatencyEstimator, ZhuyiConfig};
 use zhuyi_runtime::online::{OnlineConfig, OnlineEstimator};
 
@@ -141,88 +147,55 @@ fn analyze(
     predictor: PredictorChoice,
     stride: usize,
 ) -> AnalysisOutcome {
-    if trace.collided() {
+    let mut outcome = AnalysisOutcome {
+        collided: trace.collided(),
+        steps: 0,
+        max_camera_fpr: None,
+        constraint_evaluations: 0,
+    };
+    if outcome.collided {
         // A collided run has no meaningful "required rate" — the paper
         // analyzes collision-free reference traces only.
-        return AnalysisOutcome {
-            collided: true,
-            steps: 0,
-            max_camera_fpr: None,
-            constraint_evaluations: 0,
-        };
+        return outcome;
     }
     let current_latency = Seconds(1.0 / min_rate.max(f64::MIN_POSITIVE));
     let rig = CameraRig::drive_av();
     let path = scenario.road.path();
-
-    match predictor {
-        PredictorChoice::Oracle => {
-            let estimator = TolerableLatencyEstimator::new(ZhuyiConfig::paper())
-                .expect("paper config is valid");
-            let config = PipelineConfig {
-                current_latency,
-                stride,
-                ..Default::default()
-            };
-            let analysis = analyze_trace(&trace.scenes, path, &rig, &estimator, &config);
-            AnalysisOutcome {
-                collided: false,
-                steps: analysis.steps.len(),
-                max_camera_fpr: analysis.max_camera_fpr().map(|f| f.value()),
-                constraint_evaluations: analysis.total_constraint_evaluations(),
-            }
-        }
-        PredictorChoice::ConstantVelocity => analyze_online(
-            trace,
-            path,
-            &rig,
-            &ConstantVelocity,
-            current_latency,
-            stride,
-        ),
-        PredictorChoice::ConstantAcceleration => analyze_online(
-            trace,
-            path,
-            &rig,
-            &ConstantAcceleration,
-            current_latency,
-            stride,
-        ),
-    }
-}
-
-fn analyze_online(
-    trace: &Trace,
-    path: &av_core::path::Path,
-    rig: &CameraRig,
-    predictor: &dyn TrajectoryPredictor,
-    current_latency: Seconds,
-    stride: usize,
-) -> AnalysisOutcome {
-    let estimator =
+    let oracle =
+        TolerableLatencyEstimator::new(ZhuyiConfig::paper()).expect("paper config is valid");
+    let online =
         OnlineEstimator::new(OnlineConfig::default()).expect("default online config is valid");
-    let mut steps = 0usize;
-    let mut max_fpr: Option<f64> = None;
-    let mut evaluations = 0u64;
-    for scene in trace.scenes.iter().step_by(stride.max(1)) {
-        let estimates = estimator.estimate(scene, path, rig, predictor, current_latency);
-        steps += 1;
-        evaluations += estimates
-            .actors
+    let config = PipelineConfig {
+        current_latency,
+        stride,
+        ..Default::default()
+    };
+    let predictor: Option<&dyn TrajectoryPredictor> = match predictor {
+        PredictorChoice::Oracle => None,
+        PredictorChoice::ConstantVelocity => Some(&ConstantVelocity),
+        PredictorChoice::ConstantAcceleration => Some(&ConstantAcceleration),
+    };
+    for i in (0..trace.scenes.len()).step_by(stride.max(1)) {
+        let (actors, cameras) = match predictor {
+            None => {
+                let step = analyze_step(&trace.scenes, i, path, &rig, &oracle, &config);
+                (step.actors, step.cameras)
+            }
+            Some(predictor) => {
+                let step =
+                    online.estimate(&trace.scenes[i], path, &rig, predictor, current_latency);
+                (step.actors, step.cameras)
+            }
+        };
+        outcome.steps += 1;
+        outcome.constraint_evaluations += actors
             .iter()
             .map(|a| a.stats.constraint_evaluations)
             .sum::<u64>();
-        for camera in &estimates.cameras {
+        for camera in &cameras {
             let fpr = camera.fpr().value();
-            if fpr.is_finite() {
-                max_fpr = Some(max_fpr.map_or(fpr, |m: f64| m.max(fpr)));
-            }
+            outcome.max_camera_fpr = Some(outcome.max_camera_fpr.map_or(fpr, |m| m.max(fpr)));
         }
     }
-    AnalysisOutcome {
-        collided: false,
-        steps,
-        max_camera_fpr: max_fpr,
-        constraint_evaluations: evaluations,
-    }
+    outcome
 }

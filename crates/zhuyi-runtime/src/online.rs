@@ -2,21 +2,21 @@
 //!
 //! The deployed AV cannot see ground truth: the ego's and actors' current
 //! states come from the perceived world model, and future states from a
-//! trajectory predictor. The online estimator runs the same Eq. 1–5
-//! machinery over that perceived information, producing the per-camera
-//! processing-rate requirements that feed the safety check and the work
-//! prioritizer.
+//! trajectory predictor. The online estimator runs the same Eq. 1–5 step
+//! as the offline analysis ([`zhuyi::pipeline::estimate_scene`]) over
+//! that perceived information, producing the per-camera processing-rate
+//! requirements that feed the safety check and the work prioritizer.
 
 use av_core::prelude::*;
 use av_core::scene::Scene;
 use av_perception::rig::CameraRig;
 use av_prediction::predictor::TrajectoryPredictor;
 use serde::{Deserialize, Serialize};
-use zhuyi::aggregate::{aggregate_latencies, Aggregation};
-use zhuyi::camera_fpr::{per_camera_fpr, ActorEstimate, CameraEstimate};
+use zhuyi::aggregate::Aggregation;
+use zhuyi::camera_fpr::{ActorEstimate, CameraEstimate};
 use zhuyi::config::{validate_duration, ConfigError};
-use zhuyi::estimator::{EgoKinematics, SearchOutcome, TolerableLatencyEstimator};
-use zhuyi::future::{ActorFuture, TrajectoryFuture};
+use zhuyi::estimator::TolerableLatencyEstimator;
+use zhuyi::pipeline::estimate_scene;
 use zhuyi::ZhuyiConfig;
 
 /// Configuration of the online estimator.
@@ -100,7 +100,9 @@ impl OnlineEstimator {
 
     /// Produces per-actor and per-camera estimates from the *perceived*
     /// scene (ego from localization, actors from confirmed world-model
-    /// tracks), using `predictor` for future states.
+    /// tracks), using `predictor` for future states: [`estimate_scene`]
+    /// over the predictor's futures up to the configured horizon, folded
+    /// by the configured Eq. 4 aggregation.
     ///
     /// `current_latency` is l₀, the per-frame processing latency the
     /// perception system currently runs at (feeds the α confirmation-delay
@@ -113,57 +115,15 @@ impl OnlineEstimator {
         predictor: &dyn TrajectoryPredictor,
         current_latency: Seconds,
     ) -> OnlineEstimates {
-        let ego = EgoKinematics::from_state(&perceived.ego.state);
-        let mut actors = Vec::with_capacity(perceived.actors.len());
-        for actor in &perceived.actors {
-            let futures = predictor.predict(actor, perceived.time, self.horizon);
-            if futures.is_empty() {
-                continue;
-            }
-            let mut samples = Vec::with_capacity(futures.len());
-            let mut worst = None;
-            let mut stats = zhuyi::estimator::SearchStats::default();
-            let mut any_infeasible = false;
-            let mut all_unconstrained = true;
-            for traj in futures {
-                let future = TrajectoryFuture::new(
-                    path,
-                    &perceived.ego.state,
-                    perceived.ego.dims,
-                    actor.dims,
-                    traj,
-                    perceived.time,
-                    self.estimator.config().corridor_margin,
-                );
-                let prob = future.probability();
-                let est = self
-                    .estimator
-                    .tolerable_latency(ego, &future, current_latency);
-                stats.absorb(est.stats);
-                any_infeasible |= est.outcome == SearchOutcome::Infeasible;
-                all_unconstrained &= est.outcome == SearchOutcome::Unconstrained;
-                if worst.is_none_or(|w| est.latency < w) {
-                    worst = Some(est.latency);
-                }
-                samples.push((est.latency, prob));
-            }
-            let latency = aggregate_latencies(&samples, self.aggregation)
-                .unwrap_or(self.estimator.config().max_latency);
-            let outcome = if all_unconstrained {
-                SearchOutcome::Unconstrained
-            } else if any_infeasible && latency <= self.estimator.config().min_latency {
-                SearchOutcome::Infeasible
-            } else {
-                SearchOutcome::Tolerable
-            };
-            actors.push(ActorEstimate {
-                actor: actor.id,
-                latency,
-                outcome,
-                stats,
-            });
-        }
-        let cameras = per_camera_fpr(rig, perceived, &actors, self.estimator.config().max_latency);
+        let (actors, cameras) = estimate_scene(
+            perceived,
+            path,
+            rig,
+            &self.estimator,
+            self.aggregation,
+            current_latency,
+            |actor| predictor.predict(actor, perceived.time, self.horizon),
+        );
         OnlineEstimates {
             time: perceived.time,
             actors,

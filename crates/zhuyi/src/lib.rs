@@ -13,8 +13,10 @@
 //!    trajectories (Eq. 4: worst case / mean / percentile);
 //! 3. [`camera_fpr`] — fold per-actor latencies into per-camera minimum
 //!    frame processing rates over each camera's FOV (Eq. 5);
-//! 4. [`pipeline`] — replay a recorded scenario trace pre-deployment
-//!    (§3.1), producing the per-camera time series of Figs. 4–6;
+//! 4. [`pipeline`] — Eqs. 1–5 over one scene ([`estimate_scene`], the
+//!    step online and offline estimation share), and the pre-deployment
+//!    replay of a recorded trace (§3.1) producing the per-camera time
+//!    series of Figs. 4–6;
 //! 5. [`sensitivity`] — the Fig. 8 velocity sweep;
 //! 6. [`ops`] — the §4.2 compute-demand accounting.
 //!
@@ -68,5 +70,5 @@ pub use estimator::{
     TolerableLatencyEstimator,
 };
 pub use explain::Explanation;
-pub use pipeline::{analyze_trace, PipelineConfig, StepAnalysis, TraceAnalysis};
+pub use pipeline::{analyze_trace, estimate_scene, PipelineConfig, StepAnalysis, TraceAnalysis};
 pub use sensitivity::{sweep_fixed_gap, CellOutcome, SensitivityGrid};

@@ -1,17 +1,21 @@
-//! Offline (pre-deployment) analysis of a recorded scenario trace
-//! (paper §3.1).
+//! Zhuyi's model over a scene ([`estimate_scene`]), and the offline
+//! (pre-deployment) analysis of a recorded scenario trace (paper §3.1).
+//!
+//! [`estimate_scene`] is the one step both uses of the model run: Eqs. 1–5
+//! over one scene, given each actor's futures. The online estimator passes
+//! its predictor's futures (§3.2); the offline analysis passes the trace's.
 //!
 //! After a scenario-based test, the trace contains the ground-truth states
 //! of the ego and all actors at every timestep. The pipeline replays the
 //! trace: at each analyzed step the future of each actor is taken *from the
 //! trace itself* (the oracle predictor — the set `T` has size one, exactly
-//! as §3.1 describes), the tolerable-latency search runs per actor, and
-//! Eq. 5 folds the results into per-camera FPR requirements.
+//! as §3.1 describes), and [`estimate_scene`] turns those futures into
+//! per-camera FPR requirements.
 
 use crate::aggregate::{aggregate_latencies, Aggregation};
 use crate::camera_fpr::{per_camera_fpr, ActorEstimate, CameraEstimate};
-use crate::estimator::{EgoKinematics, TolerableLatencyEstimator};
-use crate::future::TrajectoryFuture;
+use crate::estimator::{EgoKinematics, SearchOutcome, SearchStats, TolerableLatencyEstimator};
+use crate::future::{ActorFuture, TrajectoryFuture};
 use av_core::prelude::*;
 use av_core::scene::Scene;
 use av_core::trajectory::TrajectoryPoint;
@@ -20,11 +24,11 @@ use av_perception::rig::CameraRig;
 use serde::{Deserialize, Serialize};
 
 /// Parameters of a trace analysis run.
+///
+/// There is no Eq. 4 aggregation to choose: the oracle gives each actor
+/// one future, and every aggregation of one latency is that latency.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct PipelineConfig {
-    /// Eq. 4 aggregation across predicted futures (irrelevant for the
-    /// oracle's single future, but kept for symmetry with the online mode).
-    pub aggregation: Aggregation,
     /// The processing latency l₀ the traced system was running at
     /// (1 / FPR₀; the paper's tests default to FPR₀ = 30).
     pub current_latency: Seconds,
@@ -39,7 +43,6 @@ pub struct PipelineConfig {
 impl Default for PipelineConfig {
     fn default() -> Self {
         Self {
-            aggregation: Aggregation::WorstCase,
             current_latency: Seconds(1.0 / 30.0),
             stride: 10,
             future_sample_spacing: Seconds(0.05),
@@ -166,7 +169,8 @@ pub fn analyze_trace(
     TraceAnalysis { steps }
 }
 
-/// Analyzes a single step `i` of the trace (exposed for incremental use).
+/// Analyzes a single step `i` of the trace (exposed for incremental use):
+/// [`estimate_scene`] over the oracle's one recorded future per actor.
 ///
 /// # Panics
 ///
@@ -180,38 +184,96 @@ pub fn analyze_step(
     config: &PipelineConfig,
 ) -> StepAnalysis {
     let scene = &scenes[i];
-    let ego = EgoKinematics::from_state(&scene.ego.state);
-    let mut actor_estimates = Vec::with_capacity(scene.actors.len());
-    for actor in &scene.actors {
-        let Some(traj) = oracle_trajectory(scenes, i, actor.id, config, estimator) else {
-            continue;
-        };
-        let future = TrajectoryFuture::new(
-            path,
-            &scene.ego.state,
-            scene.ego.dims,
-            actor.dims,
-            traj,
-            scene.time,
-            estimator.config().corridor_margin,
-        );
-        let est = estimator.tolerable_latency(ego, &future, config.current_latency);
-        // Single oracle future: Eq. 4 aggregation is the identity, but we
-        // run it anyway so both modes share one code path.
-        let latency =
-            aggregate_latencies(&[(est.latency, 1.0)], config.aggregation).unwrap_or(est.latency);
-        let mut wrapped = ActorEstimate::new(actor.id, est);
-        wrapped.latency = latency;
-        actor_estimates.push(wrapped);
-    }
-    let cameras = per_camera_fpr(rig, scene, &actor_estimates, estimator.config().max_latency);
+    let (actors, cameras) = estimate_scene(
+        scene,
+        path,
+        rig,
+        estimator,
+        Aggregation::default(),
+        config.current_latency,
+        |actor| oracle_trajectory(scenes, i, actor.id, config, estimator),
+    );
     StepAnalysis {
         time: scene.time,
         ego_speed: scene.ego.state.speed,
         ego_accel: scene.ego.state.accel,
-        actors: actor_estimates,
+        actors,
         cameras,
     }
+}
+
+/// Runs Eqs. 1–5 over one scene: the step both uses of the model share.
+///
+/// `futures` yields each actor's futures as absolute-time trajectories;
+/// an actor with none is left out. Each future is measured along `path`
+/// ([`TrajectoryFuture`]) and searched for its tolerable latency
+/// (Eqs. 1–3) at l₀ = `current_latency`. Eq. 4 folds an actor's latencies
+/// by `aggregation` and sums its search stats; the actor is
+/// `Unconstrained` when every future was, `Infeasible` when some future
+/// was and the folded latency is at `min_latency`, and `Tolerable`
+/// otherwise. Eq. 5 then gives the per-camera requirements, indexed like
+/// `rig`.
+///
+/// For one future the fold returns that future's latency, outcome and
+/// stats unchanged, so the oracle's analysis ([`analyze_step`]) and the
+/// online estimator agree bit for bit on the same future.
+pub fn estimate_scene<F, I>(
+    scene: &Scene,
+    path: &Path,
+    rig: &CameraRig,
+    estimator: &TolerableLatencyEstimator,
+    aggregation: Aggregation,
+    current_latency: Seconds,
+    mut futures: F,
+) -> (Vec<ActorEstimate>, Vec<CameraEstimate>)
+where
+    F: FnMut(&Agent) -> I,
+    I: IntoIterator<Item = Trajectory>,
+{
+    let cfg = estimator.config();
+    let ego = EgoKinematics::from_state(&scene.ego.state);
+    let mut actors = Vec::with_capacity(scene.actors.len());
+    for actor in &scene.actors {
+        let mut samples = Vec::new();
+        let mut stats = SearchStats::default();
+        let mut any_infeasible = false;
+        let mut all_unconstrained = true;
+        for trajectory in futures(actor) {
+            let future = TrajectoryFuture::new(
+                path,
+                &scene.ego.state,
+                scene.ego.dims,
+                actor.dims,
+                trajectory,
+                scene.time,
+                cfg.corridor_margin,
+            );
+            let est = estimator.tolerable_latency(ego, &future, current_latency);
+            stats.absorb(est.stats);
+            any_infeasible |= est.outcome == SearchOutcome::Infeasible;
+            all_unconstrained &= est.outcome == SearchOutcome::Unconstrained;
+            samples.push((est.latency, future.probability()));
+        }
+        if samples.is_empty() {
+            continue;
+        }
+        let latency = aggregate_latencies(&samples, aggregation).unwrap_or(cfg.max_latency);
+        let outcome = if all_unconstrained {
+            SearchOutcome::Unconstrained
+        } else if any_infeasible && latency <= cfg.min_latency {
+            SearchOutcome::Infeasible
+        } else {
+            SearchOutcome::Tolerable
+        };
+        actors.push(ActorEstimate {
+            actor: actor.id,
+            latency,
+            outcome,
+            stats,
+        });
+    }
+    let cameras = per_camera_fpr(rig, scene, &actors, cfg.max_latency);
+    (actors, cameras)
 }
 
 /// Extracts the ground-truth future of `actor` starting at scene `i`: the
