@@ -9,11 +9,15 @@
 //!
 //! `--check` additionally enforces per-scenario retirement-rate floors,
 //! so an envelope regression that quietly stops retiring lanes fails CI
-//! instead of just slowing the sweep down.
+//! instead of just slowing the sweep down. A seed count of 0, which would
+//! leave nothing to measure, is a usage error (exit 2), like any other
+//! malformed argument.
 use av_core::prelude::*;
 use av_scenarios::catalog::{Scenario, ScenarioId, PAPER_RATE_GRID};
 use av_scenarios::sweep::SweepContext;
 use std::process::ExitCode;
+
+const USAGE: &str = "USAGE: certprobe [seeds] [--check]   (seeds >= 1, default 5)";
 
 /// Minimum acceptable retirement percentage per Table-1 scenario,
 /// calibrated against `certprobe 3` (measured: Cut-out 37.4, Cut-out fast
@@ -39,10 +43,10 @@ fn main() -> ExitCode {
     for arg in std::env::args().skip(1) {
         if arg == "--check" {
             check = true;
-        } else if let Ok(n) = arg.parse() {
+        } else if let Ok(n @ 1..) = arg.parse() {
             seeds = n;
         } else {
-            eprintln!("error: unknown argument {arg:?}\nUSAGE: certprobe [seeds] [--check]");
+            eprintln!("error: bad argument {arg:?}: expected a seed count of at least 1 or --check\n{USAGE}");
             return ExitCode::from(2);
         }
     }

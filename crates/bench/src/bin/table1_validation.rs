@@ -21,11 +21,17 @@
 //!
 //! Run: `cargo run --release -p zhuyi-bench --bin table1_validation`
 //! (add `-- --seeds N` to change the repeat count, `-- --quick` for a
-//! 3-rate smoke pass).
+//! 3-rate smoke pass). A malformed command line exits 2 with the usage
+//! text before anything runs.
 
 use av_scenarios::catalog::{minimum_required_fpr, Mrf, ScenarioId, PAPER_RATE_GRID};
+use std::process::ExitCode;
 use zhuyi_bench::figures::{run_and_analyze, TABLE1_CAMERAS};
 use zhuyi_bench::{fmt1, mean, write_results, Table};
+
+const USAGE: &str = "USAGE: table1_validation [--seeds N] [--quick]
+  --seeds N  jitter seeds per scenario, N >= 1 (default 3)
+  --quick    smoke pass over rates 1, 5 and 30";
 
 /// One scenario's full Table-1 row.
 struct Row {
@@ -85,15 +91,28 @@ fn scenario_row(id: ScenarioId, rates: &[u32], seeds: &[u64]) -> Row {
     }
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let seeds: Vec<u64> = args
-        .iter()
-        .position(|a| a == "--seeds")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse::<u64>().ok())
-        .map_or_else(|| (0..3).collect(), |n| (0..n).collect());
-    let rates: Vec<u32> = if args.iter().any(|a| a == "--quick") {
+/// Reports a malformed command line: exit 2 with the usage text.
+fn usage_error(message: &str) -> ExitCode {
+    eprintln!("error: {message}\n{USAGE}");
+    ExitCode::from(2)
+}
+
+fn main() -> ExitCode {
+    let mut seed_count = 3u64;
+    let mut quick = false;
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--quick" => quick = true,
+            "--seeds" => match args.next().and_then(|v| v.parse::<u64>().ok()) {
+                Some(n) if n > 0 => seed_count = n,
+                _ => return usage_error("--seeds needs a whole number of at least 1"),
+            },
+            _ => return usage_error(&format!("unknown argument {arg:?}")),
+        }
+    }
+    let seeds: Vec<u64> = (0..seed_count).collect();
+    let rates: Vec<u32> = if quick {
         vec![1, 5, 30]
     } else {
         PAPER_RATE_GRID.to_vec()
@@ -167,4 +186,5 @@ fn main() {
     );
     let path = write_results("table1_validation.csv", &table.to_csv());
     println!("written to {}", path.display());
+    ExitCode::SUCCESS
 }
