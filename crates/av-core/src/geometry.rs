@@ -63,12 +63,6 @@ impl Vec2 {
         self.x * self.x + self.y * self.y
     }
 
-    /// Distance to another point, as a typed quantity.
-    #[inline]
-    pub fn distance_to(self, other: Self) -> Meters {
-        Meters((other - self).norm())
-    }
-
     /// The vector rotated by `angle` counter-clockwise.
     #[inline]
     pub fn rotated(self, angle: Radians) -> Self {

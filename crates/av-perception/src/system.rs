@@ -111,7 +111,6 @@ pub struct PerceptionSystem {
     samplers: Vec<FrameSampler>,
     droppers: Vec<FrameDropper>,
     world: WorldModel,
-    model_occlusion: bool,
     /// Reused per-tick observation buffer; always empty between ticks.
     observed_scratch: Vec<Agent>,
     /// Reused per-tick blocker-footprint buffer for the occlusion sweep.
@@ -128,15 +127,14 @@ pub struct PerceptionSystem {
 }
 
 /// Equality compares configuration and accumulated perception state
-/// (rig, samplers, droppers, world model, occlusion flag) and ignores the
-/// reusable per-tick scratch buffers.
+/// (rig, samplers, droppers, world model) and ignores the reusable
+/// per-tick scratch buffers.
 impl PartialEq for PerceptionSystem {
     fn eq(&self, other: &Self) -> bool {
         self.rig == other.rig
             && self.samplers == other.samplers
             && self.droppers == other.droppers
             && self.world == other.world
-            && self.model_occlusion == other.model_occlusion
     }
 }
 
@@ -175,7 +173,6 @@ impl PerceptionSystem {
             samplers,
             droppers,
             world: WorldModel::new(tracker),
-            model_occlusion: true,
             observed_scratch: Vec::new(),
             blocker_scratch: Vec::new(),
             next_frame_due: Seconds(f64::NEG_INFINITY),
@@ -187,13 +184,6 @@ impl PerceptionSystem {
     /// see [`crate::dropout`]). Default: no loss.
     pub fn with_drop_policy(mut self, policy: DropPolicy) -> Self {
         self.droppers = vec![FrameDropper::new(policy); self.samplers.len()];
-        self
-    }
-
-    /// Disables the line-of-sight occlusion model (every in-FOV actor is
-    /// observed even behind other vehicles). Enabled by default.
-    pub fn without_occlusion(mut self) -> Self {
-        self.model_occlusion = false;
         self
     }
 
@@ -236,12 +226,6 @@ impl PerceptionSystem {
     /// this before assuming a visible actor keeps refreshing its track.
     pub fn has_frame_loss(&self) -> bool {
         self.droppers.iter().any(|d| d.policy() != DropPolicy::None)
-    }
-
-    /// `true` when occlusion is modeled (the default; see
-    /// [`PerceptionSystem::without_occlusion`]).
-    pub fn models_occlusion(&self) -> bool {
-        self.model_occlusion
     }
 
     /// Reconfigures one camera's rate (work prioritization, §3.2).
@@ -324,10 +308,7 @@ impl PerceptionSystem {
                 .frames
                 .iter()
                 .any(|cam_id| cameras[cam_id.0].sees_agent(&scene.ego.state, actor));
-            if seen
-                && !(self.model_occlusion
-                    && occluded(scene.ego.state.position, actor, &scene.actors))
-            {
+            if seen && !occluded(scene.ego.state.position, actor, &scene.actors) {
                 observed.push(*actor);
             }
         }
@@ -416,18 +397,16 @@ impl PerceptionSystem {
                     }
                 }
             }
-            if seen && self.model_occlusion {
-                // The 20%-shrunken blocker rects are shared by every
-                // target this tick; build them on the first test.
-                if !blockers_ready {
-                    fill_shrunken_footprints(columns, &mut blockers);
-                    blockers_ready = true;
-                }
-                if occluded_against(ego.position, i, columns, &blockers) {
-                    continue;
-                }
+            if !seen {
+                continue;
             }
-            if seen {
+            // The 20%-shrunken blocker rects are shared by every target
+            // this tick; build them on the first test.
+            if !blockers_ready {
+                fill_shrunken_footprints(columns, &mut blockers);
+                blockers_ready = true;
+            }
+            if !occluded_against(ego.position, i, columns, &blockers) {
                 observed.push(columns.actor(i));
             }
         }
@@ -437,11 +416,6 @@ impl PerceptionSystem {
         self.observed_scratch = observed;
         self.blocker_scratch = blockers;
         &self.report
-    }
-
-    /// Total frames processed across all cameras.
-    pub fn total_frames(&self) -> u64 {
-        self.samplers.iter().map(|s| s.frames_processed()).sum()
     }
 
     /// `true` when no sampler can fire at `now`: the tick is *idle* for
