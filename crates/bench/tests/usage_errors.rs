@@ -40,27 +40,27 @@ const TABLE1_VALIDATION: &str = env!("CARGO_BIN_EXE_table1_validation");
 const CERTPROBE: &str = env!("CARGO_BIN_EXE_certprobe");
 
 #[test]
-fn table1_validation_rejects_bad_seed_counts() {
-    assert_usage_error(TABLE1_VALIDATION, &["--seeds", "0", "--quick"]);
-    assert_usage_error(TABLE1_VALIDATION, &["--seeds", "abc", "--quick"]);
-    assert_usage_error(TABLE1_VALIDATION, &["--seeds", "-1", "--quick"]);
-    assert_usage_error(TABLE1_VALIDATION, &["--quick", "--seeds"]);
+fn table1_validation_rejects_malformed_arguments() {
+    for args in [
+        &["--seeds", "0", "--quick"][..],
+        &["--seeds", "abc", "--quick"],
+        &["--seeds", "-1", "--quick"],
+        &["--quick", "--seeds"],
+        &["--bogus", "--quick"],
+        &["--quick", "3"],
+    ] {
+        assert_usage_error(TABLE1_VALIDATION, args);
+    }
 }
 
 #[test]
-fn table1_validation_rejects_unknown_arguments() {
-    assert_usage_error(TABLE1_VALIDATION, &["--bogus", "--quick"]);
-    assert_usage_error(TABLE1_VALIDATION, &["--quick", "3"]);
-}
-
-#[test]
-fn certprobe_rejects_a_zero_seed_count() {
-    assert_usage_error(CERTPROBE, &["0", "--check"]);
-    assert_usage_error(CERTPROBE, &["0"]);
-}
-
-#[test]
-fn certprobe_rejects_unknown_arguments() {
-    assert_usage_error(CERTPROBE, &["abc", "--check"]);
-    assert_usage_error(CERTPROBE, &["--bogus"]);
+fn certprobe_rejects_malformed_arguments() {
+    for args in [
+        &["0", "--check"][..],
+        &["0"],
+        &["abc", "--check"],
+        &["--bogus"],
+    ] {
+        assert_usage_error(CERTPROBE, args);
+    }
 }
