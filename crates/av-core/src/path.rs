@@ -552,7 +552,7 @@ impl Path {
     /// over a certified superset of every segment that could win, hence
     /// bit-identical results.
     ///
-    /// Returns `None` (the caller tries the azimuth seed, then the
+    /// Returns `None` (the caller tries its next seed, then the
     /// exhaustive scan) when the sweep is within the margin of a full
     /// turn, the bound is too wide for the contiguity argument, or the
     /// walk cannot seat its start vertex (an extrapolating terminal seed
