@@ -79,7 +79,7 @@ pub struct PathFrame {
 
 /// Circle parameters remembered by [`Path::arc`] so projection can jump
 /// straight to the right neighborhood instead of scanning the polyline.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 struct ArcIndex {
     /// Circle center.
     center: Vec2,
@@ -92,6 +92,31 @@ struct ArcIndex {
     /// Longest segment chord (certification margin: any point of a
     /// segment lies within this of both its endpoints).
     max_seg: f64,
+    /// The constants of [`Path::lateral_bounds`]; `None` when its proof
+    /// does not cover the arc.
+    bounds: Option<ArcBounds>,
+}
+
+/// The constants of [`Path::lateral_bounds`] for one arc.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+struct ArcBounds {
+    /// Unit vector from the center toward the middle of the sweep.
+    mid_dir: Vec2,
+    /// Cosine of half the sweep: a direction from the center lies inside
+    /// the sweep when its cosine against `mid_dir` exceeds this.
+    cos_half_sweep: f64,
+    /// Half-width of the certified interval: `max_seg²/(4·radius)` plus
+    /// 1e-6 m for rounding.
+    tol: f64,
+}
+
+/// The coordinate range, in meters, inside which the rounding slack of
+/// [`Path::lateral_bounds`] is justified: the query point, the arc's
+/// center and its radius must stay within it.
+const BOUNDS_RANGE: f64 = 1e6;
+
+fn within_bounds_range(p: Vec2) -> bool {
+    p.x.abs() <= BOUNDS_RANGE && p.y.abs() <= BOUNDS_RANGE
 }
 
 /// A caller-owned memo of the last winning projection segment, exploiting
@@ -251,12 +276,23 @@ impl Path {
         let max_seg = (1..=n)
             .map(|i| path.cum_s[i] - path.cum_s[i - 1])
             .fold(0.0f64, f64::max);
+        let seg_angle = arc_length.value() / (n as f64) / r;
+        let half_sweep = 0.5 * arc_length.value() / r; // signed
+        let bounds = (seg_angle.abs() < std::f64::consts::FRAC_PI_2
+            && within_bounds_range(center)
+            && r.abs() <= BOUNDS_RANGE)
+            .then(|| ArcBounds {
+                mid_dir: Vec2::from_heading(Radians(start_angle.value() + half_sweep)),
+                cos_half_sweep: half_sweep.cos(),
+                tol: max_seg * max_seg / (4.0 * r.abs()) + 1e-6,
+            });
         path.arc = Some(ArcIndex {
             center,
             radius: r.abs(),
             start_angle: start_angle.value(),
-            seg_angle: arc_length.value() / (n as f64) / r,
+            seg_angle,
             max_seg,
+            bounds,
         });
         path
     }
@@ -490,16 +526,116 @@ impl Path {
         self.project_impl(point, Some(hint))
     }
 
+    /// An interval that provably contains the lateral offset `d` of
+    /// [`Path::project`]`(point)`, read off the circle of a [`Path::arc`]
+    /// alone: one square root and a few dot and cross products, no walk.
+    ///
+    /// With center `c`, radius `R`, per-segment turn `θ` and longest
+    /// chord `m`, the interval is `d_c ± tol`: `d_c = sign(θ)·(R − |p − c|)`
+    /// is the point's offset from the circle, `tol = m²/(4R) + 1e-6 m`.
+    /// `None` where the certificate does not apply: a path that is not an
+    /// arc, an arc whose segments turn by π/2 or more, a point or center
+    /// with a coordinate beyond ±1e6 m, a radius over 1e6 m, a point whose
+    /// azimuth around `c` lies outside the sweep, and a point an
+    /// extrapolated end segment might claim (below).
+    ///
+    /// ```
+    /// use av_core::geometry::Vec2;
+    /// use av_core::path::Path;
+    /// use av_core::units::{Meters, Radians};
+    ///
+    /// let road = Path::arc(Vec2::ZERO, Radians(0.0), Meters(400.0), Meters(1500.0), Meters(2.0));
+    /// let point = Vec2::new(300.0, 120.0);
+    /// let (lo, hi) = road.lateral_bounds(point).expect("inside the sweep");
+    /// let d = road.project(point).d;
+    /// assert!(lo <= d && d <= hi);
+    /// assert!((hi - lo).value() < 0.01);
+    /// ```
+    ///
+    /// # Why it holds
+    ///
+    /// Take a left arc (`θ > 0`, center on the left); a right arc is its
+    /// mirror image. Let `r = |p − c|`, `h = R·cos(θ/2)` and `δ = R − h`.
+    /// Every chord lies in the annulus `h ≤ |q − c| ≤ R`, and
+    /// `m²/(4R) = δ·(1 + cos(θ/2)) ≥ δ`, so it is enough to show
+    /// `d_c − δ ≤ d ≤ d_c + δ` in exact arithmetic. Let `q` be the winning
+    /// segment's nearest point and `D = |d| = |p − q|`.
+    ///
+    /// - *The winner is near.* `p`'s azimuth lies inside the sweep, so the
+    ///   ray from `c` through `p` crosses a chord at a distance
+    ///   `ρ ∈ [h, R]` from `c`: `D ≤ |r − ρ| ≤ |R − r| + δ`.
+    /// - *The winner is on a chord.* The end segments extrapolate along
+    ///   their lines past the path's first and last vertex. A point behind
+    ///   the first vertex, or past the last, must lie farther than
+    ///   `|d_c| + tol` from that line, so the extrapolation loses to the
+    ///   chord above. So `q` lies in the annulus: `D ≥ dist(r, [h, R])`.
+    /// - *`q` inside its chord, `p` on the center side (`d ≥ 0`).* If
+    ///   `r < h`, then `h − r ≤ D ≤ ρ − r ≤ R − r`: `d ∈ [d_c − δ, d_c]`.
+    ///   If `h ≤ r ≤ R`, both `d` and `d_c` lie in `[0, δ]`. And `r > R`
+    ///   cannot happen: with the chord's outward normal `n` and tangent
+    ///   `t`, `p − c = (h − d)·n + x·t` with `|x| ≤ m/2`, so
+    ///   `(h − d)² ≥ r² − m²/4 > R² − m²/4 = h²` forces `d > 2h`; then
+    ///   `r ≤ d − h + m/2` and `d ≤ r − h` need `m ≥ 4h`, but
+    ///   `m/h = 2·tan(θ/2) < 2`.
+    /// - *`q` inside its chord, `p` on the outer side (`d < 0`).*
+    ///   `(p − c)·n = h + D ≤ r`, so `d ≥ h − r = d_c − δ`; and
+    ///   `d ≤ −dist(r, [h, R]) ≤ min(0, R − r) ≤ d_c`.
+    /// - *`q` a vertex `v`.* It is not an end vertex (those extrapolate),
+    ///   so a neighbouring segment leaves `v` turned by `θ` toward the
+    ///   center. Write `p − v = a·u + b·w`, with `u` the winner's direction
+    ///   continued past `v` (so `a ≥ 0`) and `w` its normal toward the
+    ///   center. Moving from `v` into the neighbour changes the distance
+    ///   to `p` at a rate of the sign of `−(a·cos θ + b·sin θ)`, and the
+    ///   neighbour is not strictly closer than the winner, so
+    ///   `b ≤ −a·cot θ ≤ 0`: `p` lies in the outward wedge at `v`
+    ///   between the two segments' normals, every direction of which is
+    ///   within `θ/2` of `v − c`. So
+    ///   `r² ≥ R² + D² + 2RD·cos(θ/2) ≥ (R + D − δ)²` and `r ≤ R + D`:
+    ///   `d = −D ∈ [d_c − δ, d_c]`.
+    ///
+    /// Rounding: with the point and the center inside ±1e6 m and `R` at
+    /// most 1e6 m, every length here is below 2²² m, where one rounding
+    /// costs at most 2⁻³¹ m ≈ 4.7e-10 m. The vertices sit that close to
+    /// the ideal circle, and the scan's `d`, `d_c` and the end distances
+    /// each take a few dozen roundings, so together they err by under
+    /// 1e-7 m: inside the 1e-6 m slack.
+    pub fn lateral_bounds(&self, point: Vec2) -> Option<(Meters, Meters)> {
+        let arc = self.arc.as_ref()?;
+        let bounds = arc.bounds.as_ref()?;
+        if !within_bounds_range(point) {
+            return None;
+        }
+        let rel = point - arc.center;
+        let r = rel.norm_sq().sqrt();
+        if rel.dot(bounds.mid_dir) <= r * bounds.cos_half_sweep {
+            return None; // outside the sweep
+        }
+        let d_c = arc.seg_angle.signum() * (arc.radius - r);
+        let clear = d_c.abs() + bounds.tol;
+        let last = self.points.len() - 1;
+        for (vertex, outward) in [
+            (self.points[0], -self.seg_unit[0]),
+            (self.points[last], self.seg_unit[last - 1]),
+        ] {
+            let rel = point - vertex;
+            if rel.dot(outward) > 0.0 && outward.cross(rel).abs() <= clear {
+                return None; // an extrapolated end segment might win
+            }
+        }
+        Some((Meters(d_c - bounds.tol), Meters(d_c + bounds.tol)))
+    }
+
     fn project_impl(&self, point: Vec2, hint: Option<&mut ProjectionHint>) -> FrenetPose {
         let nseg = self.points.len() - 1;
         let pose = self
             .arc
+            .as_ref()
             .and_then(|arc| {
                 hint.as_ref()
                     .and_then(|h| h.seg)
-                    .and_then(|h| self.project_arc_seeded(point, &arc, (h as usize).min(nseg - 1)))
+                    .and_then(|h| self.project_arc_seeded(point, arc, (h as usize).min(nseg - 1)))
                     .or_else(|| {
-                        self.project_arc_seeded(point, &arc, self.azimuth_segment(point, &arc))
+                        self.project_arc_seeded(point, arc, self.azimuth_segment(point, arc))
                     })
             })
             .unwrap_or_else(|| self.project_scan(point));
@@ -918,6 +1054,148 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Asserts that the interval `lateral_bounds` gives for `point`, if
+    /// any, holds the exhaustive scan's `d`; returns whether it answered.
+    fn bounds_hold(path: &Path, point: Vec2) -> bool {
+        let Some((lo, hi)) = path.lateral_bounds(point) else {
+            return false;
+        };
+        let d = path.project_scan(point).d;
+        assert!(
+            lo <= d && d <= hi,
+            "query {point}: d = {} outside [{}, {}]",
+            d.value(),
+            lo.value(),
+            hi.value()
+        );
+        true
+    }
+
+    #[test]
+    fn lateral_bounds_hold_the_scanned_offset() {
+        // (path, whether the certificate covers it)
+        let paths = [
+            // The catalog's curved road (left, 3.75 rad).
+            (
+                Path::arc(
+                    Vec2::ZERO,
+                    Radians(0.0),
+                    Meters(400.0),
+                    Meters(1500.0),
+                    Meters(2.0),
+                ),
+                true,
+            ),
+            // A right arc sweeping 5 rad, more than half a turn.
+            (
+                Path::arc(
+                    Vec2::new(5.0, -3.0),
+                    Radians(1.2),
+                    Meters(-80.0),
+                    Meters(400.0),
+                    Meters(1.0),
+                ),
+                true,
+            ),
+            (near_full_turn(), true),
+            // A short arc: 15 segments, 0.15 rad.
+            (
+                Path::arc(
+                    Vec2::new(-30.0, 12.0),
+                    Radians(-0.7),
+                    Meters(200.0),
+                    Meters(30.0),
+                    Meters(2.0),
+                ),
+                true,
+            ),
+            // Three segments of 2 rad each, past the π/2 limit: a
+            // vertex's neighbour can lie farther from a point on the
+            // center side than the vertex itself.
+            (
+                Path::arc(
+                    Vec2::ZERO,
+                    Radians(0.0),
+                    Meters(100.0),
+                    Meters(600.0),
+                    Meters(200.0),
+                ),
+                false,
+            ),
+            // A 10 km arc of radius 1e10 m at the origin: its vertices are
+            // in range, its center is not, and `|p − c|` rounds by 2e-6 m.
+            (
+                Path::arc(
+                    Vec2::ZERO,
+                    Radians(0.0),
+                    Meters(1e10),
+                    Meters(1e4),
+                    Meters(2.0),
+                ),
+                false,
+            ),
+        ];
+        let mut state = 0x853c_49e6_748f_ea9bu64;
+        let mut unit = || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 11) as f64 / (1u64 << 53) as f64 // in [0, 1)
+        };
+        for (path, covered) in &paths {
+            let arc = path.arc.as_ref().expect("an arc");
+            let (center, radius) = (arc.center, arc.radius);
+            let mut answered = 0;
+            // Every azimuth, at distances from 0 to 3R from the center.
+            for i in 0..1600 {
+                let azimuth = std::f64::consts::TAU * (i as f64 + unit()) / 1600.0;
+                for _ in 0..8 {
+                    let r = 3.0 * radius * unit();
+                    let point = center + Vec2::from_heading(Radians(azimuth)) * r;
+                    answered += usize::from(bounds_hold(path, point));
+                }
+            }
+            // Within 150 m of each end vertex.
+            for end in [path.points()[0], *path.points().last().expect("nonempty")] {
+                for _ in 0..2500 {
+                    let offset = Vec2::new(unit() - 0.5, unit() - 0.5) * 300.0;
+                    if offset.norm() <= 150.0 {
+                        answered += usize::from(bounds_hold(path, end + offset));
+                    }
+                }
+            }
+            // Points 1e15 m out, where one rounding costs 0.125 m.
+            for k in 0..64 {
+                let direction = Vec2::from_heading(Radians(k as f64 * 0.1));
+                answered += usize::from(bounds_hold(path, center + direction * 1e15));
+            }
+            if *covered {
+                assert!(answered > 500, "the certificate answers ({answered})");
+            }
+        }
+    }
+
+    #[test]
+    fn lateral_bounds_decline_where_an_end_segment_wins() {
+        // Near the start of the 6.25 rad arc, 16 m from closing the turn:
+        // the last segment, extended past the end, passes about 70 m from
+        // this point, closer than the circle's 101.9 m.
+        let path = near_full_turn();
+        let point = Vec2::new(171.90, -75.93);
+        let d = path.project_scan(point).d.value();
+        assert!(
+            (d + 69.52).abs() < 0.01,
+            "the extended end segment wins: d = {d}"
+        );
+        let arc = path.arc.as_ref().expect("an arc");
+        let circle = arc.radius - (point - arc.center).norm();
+        assert!(
+            (circle + 101.90).abs() < 0.01,
+            "the circle's offset: {circle}"
+        );
+        assert_eq!(path.lateral_bounds(point), None);
     }
 
     #[test]

@@ -54,10 +54,11 @@ pub trait ActorFuture {
 
     /// Whether the actor is provably quiet at `tn`: never in the corridor
     /// at a non-negative gap anywhere on the span of this future that
-    /// contains `tn`. `true` promises that `at(tn)` is no threat, so a
-    /// caller may skip that query; `false` promises nothing. `horizon` is
-    /// the caller's last instant and bounds a span that would otherwise
-    /// run on forever. The default proves nothing.
+    /// contains `tn`. A span may be a single instant. `true` promises that
+    /// `at(tn)` is no threat, so a caller may skip that query; `false`
+    /// promises nothing. `horizon` is the caller's last instant and bounds
+    /// a span that would otherwise run on forever. The default proves
+    /// nothing.
     fn provably_quiet(&self, _tn: Seconds, _horizon: Seconds) -> bool {
         false
     }
@@ -210,8 +211,14 @@ impl ActorFuture for ConstantAccelActor {
 /// both behind the ego, by a rounding margin (`QUIET_MARGIN`, 1e-6 m),
 /// every instant of the piece is inactive and
 /// [`ActorFuture::provably_quiet`] says so. The scan visits
-/// pieces in order, so only the current piece's verdict is kept. On any
-/// other path the future proves nothing.
+/// pieces in order, so only the current piece's verdict is kept.
+///
+/// On any other path each instant is decided alone: the span is the
+/// instant itself. [`Path::lateral_bounds`] bounds the lateral offset
+/// that [`ActorFuture::at`] would compute for the sampled position (it
+/// answers on arcs), and an interval past one corridor edge by
+/// `QUIET_MARGIN` proves the instant quiet. Rounding is monotone, so the
+/// offset relative to the ego lies past that edge too.
 #[derive(Debug, Clone)]
 pub struct TrajectoryFuture<'a> {
     path: &'a Path,
@@ -222,8 +229,9 @@ pub struct TrajectoryFuture<'a> {
     cursor: Cell<TrajectoryCursor>,
     /// The last quiet-span verdict.
     quiet: Cell<Option<QuietVerdict>>,
-    /// Whether the quiet-span proof applies: a straight path, with the
-    /// path and the ego inside `QUIET_RANGE`.
+    /// Whether the per-piece proof applies: a straight path, with the
+    /// path and the ego inside `QUIET_RANGE`. Otherwise instants are
+    /// decided one by one.
     affine_chart: bool,
     /// Absolute time corresponding to relative offset zero.
     t0: Seconds,
@@ -292,6 +300,22 @@ impl<'a> TrajectoryFuture<'a> {
             || (da > edge && db > edge)
             || (da < -edge && db < -edge)
     }
+
+    /// Whether the actor is outside the corridor at `tn` alone: the
+    /// interval [`Path::lateral_bounds`] gives for the sampled position
+    /// lies past one corridor edge by `QUIET_MARGIN` (see the type docs).
+    fn instant_is_quiet(&self, tn: Seconds) -> bool {
+        let mut cursor = self.cursor.get();
+        let position = self
+            .trajectory
+            .sample_with_cursor(self.t0 + tn, &mut cursor)
+            .position;
+        self.cursor.set(cursor);
+        let edge = self.corridor_half_width.value() + QUIET_MARGIN;
+        self.path.lateral_bounds(position).is_some_and(|(lo, hi)| {
+            (lo - self.ego_d0).value() > edge || (hi - self.ego_d0).value() < -edge
+        })
+    }
 }
 
 /// How far past a corridor edge, or behind the ego, both ends of a span
@@ -353,7 +377,7 @@ impl ActorFuture for TrajectoryFuture<'_> {
 
     fn provably_quiet(&self, tn: Seconds, horizon: Seconds) -> bool {
         if !self.affine_chart {
-            return false;
+            return self.instant_is_quiet(tn);
         }
         // The same absolute time, and so the same piece, that `at` samples.
         let t = self.t0 + tn;

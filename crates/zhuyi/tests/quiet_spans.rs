@@ -1,9 +1,12 @@
 //! The threat scan skips instants a `TrajectoryFuture` proves quiet. That
 //! skip must be invisible: every estimate, explanation and `SearchStats`
 //! equals the one computed through a wrapper that exposes only `at` (and so
-//! proves nothing). The cases below put span ends where a wrong proof
-//! would change the answer: on opposite sides of the corridor, one behind
-//! and one ahead of the ego, and within 1e-9 m of an edge.
+//! proves nothing). The straight-road cases put span ends where a wrong
+//! proof would change the answer: on opposite sides of the corridor, one
+//! behind and one ahead of the ego, and within 1e-9 m of an edge. On arcs
+//! each instant is decided alone from the circle; the arc cases put
+//! actors in the other lanes, off the curve, past the arc's end, and
+//! where the extended end segment rather than the circle is nearest.
 
 use av_core::prelude::*;
 use av_core::trajectory::TrajectoryPoint;
@@ -346,28 +349,206 @@ fn seeded_random_futures_agree() {
     assert!(threats > 25, "the sweep finds threats ({threats})");
 }
 
-#[test]
-fn arc_roads_are_never_skipped() {
-    // The curved cut-in's road. Its Frenet chart is not affine, so even an
-    // actor far outside the corridor is scanned instant by instant.
-    let path = Path::arc(
+/// The curved cut-in's road: a left arc of radius 400 m sweeping 3.75 rad.
+fn arc_road() -> Path {
+    Path::arc(
         Vec2::ZERO,
         Radians(0.0),
         Meters(400.0),
         Meters(1500.0),
         Meters(2.0),
-    );
-    let ego = ego_on(&path, 20.0, 0.0, 25.0, 0.0);
-    for (d, s0) in [(12.0, 60.0), (0.0, 70.0), (-1.0, 10.0)] {
-        let samples: Vec<_> = (0..=40)
-            .map(|k| {
-                let t = 0.1 * f64::from(k);
-                (t, s0 + 22.0 * t, d, 0.0, 22.0)
-            })
-            .collect();
-        let f = future(&path, &ego, trajectory(&path, &samples), 0.0);
-        assert!(!f.provably_quiet(Seconds(0.0), Seconds(12.0)));
-        let (skipped, _) = check("arc", &f, &ego);
-        assert_eq!(skipped, 0, "an arc road proved a span quiet");
+    )
+}
+
+/// Samples every 0.1 s over the 12 s horizon of `(s, d)` moving at
+/// `(vs, vd)` in the Frenet frame of `path`, heading along the road.
+fn frenet_line(path: &Path, s0: f64, d0: f64, vs: f64, vd: f64) -> Trajectory {
+    let samples: Vec<_> = (0..=120)
+        .map(|k| {
+            let t = 0.1 * f64::from(k);
+            (t, s0 + vs * t, d0 + vd * t, 0.0, vs)
+        })
+        .collect();
+    trajectory(path, &samples)
+}
+
+#[test]
+fn arc_instants_in_other_lanes_are_skipped() {
+    // The ego in the middle lane (d = 3.7) of the three-lane curved road.
+    let path = arc_road();
+    let ego = ego_on(&path, 100.0, 3.7, 25.0, 0.0);
+    for (case, d0, vd, threat) in [
+        ("left lane", 7.4, 0.0, false),
+        ("right lane", 0.0, 0.0, false),
+        ("cut-in from the left", 7.4, -1.2, true),
+    ] {
+        let f = future(&path, &ego, frenet_line(&path, 150.0, d0, 20.0, vd), 0.0);
+        let (skipped, outcome) = check(case, &f, &ego);
+        assert!(
+            skipped > 200,
+            "{case}: arc instants were skipped ({skipped})"
+        );
+        assert_eq!(outcome != SearchOutcome::Unconstrained, threat, "{case}");
     }
+}
+
+#[test]
+fn a_straight_line_prediction_drifting_off_the_arc_is_skipped() {
+    // A constant-acceleration rollout is a straight world line: an actor
+    // 40 m ahead in the ego's lane, heading along the road, leaves the
+    // corridor to the outside of the left curve after about 40 m.
+    let path = arc_road();
+    let ego = ego_on(&path, 50.0, 0.0, 25.0, 0.0);
+    let start = path.pose_at(Meters(90.0));
+    let direction = Vec2::from_heading(start.heading);
+    let points = (0..=50)
+        .map(|k| {
+            let t = 0.1 * f64::from(k);
+            TrajectoryPoint {
+                time: Seconds(t),
+                position: start.position + direction * (18.0 * t + 0.5 * t * t),
+                heading: start.heading,
+                speed: MetersPerSecond(18.0 + t),
+                accel: MetersPerSecondSquared(1.0),
+            }
+        })
+        .collect();
+    let drifting = Trajectory::new(points, 1.0).expect("valid trajectory");
+    let f = future(&path, &ego, drifting, 0.0);
+    assert!(
+        !f.provably_quiet(Seconds(0.0), Seconds(12.0)),
+        "in lane at t0"
+    );
+    let (skipped, outcome) = check("straight-line drift", &f, &ego);
+    assert!(
+        skipped > 500,
+        "the drifted instants were skipped ({skipped})"
+    );
+    assert_ne!(
+        outcome,
+        SearchOutcome::Unconstrained,
+        "the lead is a threat"
+    );
+}
+
+#[test]
+fn instants_past_the_arc_end_are_scanned() {
+    // The road ends at s = 1500; beyond it the last segment extrapolates
+    // and the certificate declines, so those instants are queried.
+    let path = arc_road();
+    let ego = ego_on(&path, 1440.0, 0.0, 20.0, 0.0);
+    let beside = future(&path, &ego, frenet_line(&path, 1460.0, 3.7, 22.0, 0.0), 0.0);
+    assert!(beside.provably_quiet(Seconds(0.5), Seconds(12.0)));
+    assert!(
+        !beside.provably_quiet(Seconds(4.0), Seconds(12.0)),
+        "s = 1548"
+    );
+    let (skipped, _) = check("beside, past the end", &beside, &ego);
+    assert!(
+        skipped > 100,
+        "instants before the end were skipped ({skipped})"
+    );
+    let ahead = future(&path, &ego, frenet_line(&path, 1480.0, 0.0, 12.0, 0.0), 0.0);
+    let (_, outcome) = check("ahead, past the end", &ahead, &ego);
+    assert_ne!(
+        outcome,
+        SearchOutcome::Unconstrained,
+        "the lead is a threat"
+    );
+}
+
+#[test]
+fn the_start_of_a_near_full_turn_is_claimed_by_the_extended_end() {
+    // A 6.25 rad arc whose end stops 16 m short of its start. The ego
+    // drives on, 25 m to the right of the extended last segment and
+    // 30 m past the end: that line, not the circle, is the nearest part
+    // of the path to it, and to the actor ahead in its lane, whose
+    // distance to the circle is about 31.7 m. A certificate that trusted
+    // the circle there would put the actor 6.7 m out of the corridor.
+    let path = Path::arc(
+        Vec2::ZERO,
+        Radians(0.0),
+        Meters(480.0),
+        Meters(3000.0),
+        Meters(2.0),
+    );
+    let ego = ego_on(&path, 3030.0, -25.0, 25.0, 0.0);
+    let lead = future(
+        &path,
+        &ego,
+        frenet_line(&path, 3080.0, -25.0, 10.0, 0.0),
+        0.0,
+    );
+    assert!(!lead.provably_quiet(Seconds(0.0), Seconds(12.0)));
+    let (skipped, outcome) = check("in lane past the end", &lead, &ego);
+    assert_eq!(skipped, 0, "the extension claims every instant");
+    assert_ne!(
+        outcome,
+        SearchOutcome::Unconstrained,
+        "the lead is a threat"
+    );
+    // 35 m to the left the circle wins again, and the actor is quiet.
+    let inside = future(
+        &path,
+        &ego,
+        frenet_line(&path, 3080.0, 10.0, 10.0, 0.0),
+        0.0,
+    );
+    let (skipped, _) = check("inside the circle", &inside, &ego);
+    assert!(skipped > 500, "the circle proves it quiet ({skipped})");
+}
+
+#[test]
+fn seeded_random_arc_futures_agree() {
+    let mut rng = Rng(0x2545_f491_4f6c_dd1d);
+    let (mut skipped, mut threats) = (0u64, 0usize);
+    for case in 0..120 {
+        let radius = rng.range(150.0, 900.0) * if case % 2 == 0 { 1.0 } else { -1.0 };
+        let sweep = rng.range(0.3, 6.2);
+        let path = Path::arc(
+            Vec2::new(rng.range(-1e4, 1e4), rng.range(-1e4, 1e4)),
+            Radians(rng.range(-3.1, 3.1)),
+            Meters(radius),
+            Meters(sweep * radius.abs()),
+            Meters(2.0),
+        );
+        let length = path.length().value();
+        let ego_s = rng.range(-50.0, length + 50.0);
+        let ego = ego_on(
+            &path,
+            ego_s,
+            rng.range(-1.0, 8.0),
+            if case % 5 == 0 {
+                0.0
+            } else {
+                rng.range(0.0, 35.0)
+            },
+            rng.range(-4.0, 2.0),
+        );
+        let n = 1 + (rng.unit() * 30.0) as usize;
+        let (mut t, mut s, mut d) = (rng.range(-1.0, 1.0), ego_s + rng.range(-40.0, 90.0), 0.0);
+        let mut samples = Vec::with_capacity(n);
+        let (mut vs, mut vd) = (rng.range(-5.0, 30.0), rng.range(-4.0, 4.0));
+        d += rng.range(-10.0, 14.0);
+        for _ in 0..n {
+            samples.push((t, s, d, rng.range(-3.1, 3.1), rng.range(0.0, 30.0)));
+            let dt = rng.range(0.03, 0.6);
+            t += dt;
+            s += vs * dt;
+            d += vd * dt;
+            vs += rng.range(-3.0, 3.0);
+            vd += rng.range(-2.0, 2.0);
+        }
+        let f = future(
+            &path,
+            &ego,
+            trajectory(&path, &samples),
+            rng.range(-0.5, 1.0),
+        );
+        let (quiet, outcome) = check(&format!("random arc case {case}"), &f, &ego);
+        skipped += quiet;
+        threats += usize::from(outcome != SearchOutcome::Unconstrained);
+    }
+    assert!(skipped > 20_000, "the sweep exercises the skip ({skipped})");
+    assert!(threats > 10, "the sweep finds threats ({threats})");
 }
