@@ -65,7 +65,10 @@ fn sweep(title: &str, configs: &[(String, ZhuyiConfig)]) -> Table {
     table
 }
 
+const USAGE: &str = "USAGE: ablation_conservatism   (no arguments; -h/--help prints this)";
+
 fn main() {
+    zhuyi_bench::switches(USAGE, []);
     println!("== Conservatism ablation: tolerable latency (ms) per knob ==\n");
     let base = ZhuyiConfig::paper();
 

@@ -42,7 +42,10 @@ fn plan(rig: &CameraRig, front: f64, left: f64, right: f64) -> RatePlan {
     RatePlan::PerCamera(rates)
 }
 
+const USAGE: &str = "USAGE: baseline_grid_search   (no arguments; -h/--help prints this)";
+
 fn main() {
+    zhuyi_bench::switches(USAGE, []);
     let id = ScenarioId::CutOutFast;
     let scenario = Scenario::build(id, 0);
     let rig = CameraRig::drive_av();

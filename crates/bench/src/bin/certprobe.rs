@@ -38,18 +38,21 @@ const RETIREMENT_FLOORS: [(ScenarioId, f64); 9] = [
 ];
 
 fn main() -> ExitCode {
-    let mut seeds: u64 = 5;
-    let mut check = false;
-    for arg in std::env::args().skip(1) {
-        if arg == "--check" {
-            check = true;
-        } else if let Ok(n @ 1..) = arg.parse() {
-            seeds = n;
-        } else {
-            eprintln!("error: bad argument {arg:?}: expected a seed count of at least 1 or --check\n{USAGE}");
-            return ExitCode::from(2);
+    let (seeds, check) = zhuyi_bench::command_line(USAGE, |args| {
+        let (mut seeds, mut check) = (5u64, false);
+        for arg in args {
+            if arg == "--check" {
+                check = true;
+            } else if let Ok(n @ 1..) = arg.parse() {
+                seeds = n;
+            } else {
+                return Err(format!(
+                    "bad argument {arg:?}: expected a seed count of at least 1 or --check"
+                ));
+            }
         }
-    }
+        Ok((seeds, check))
+    });
     let mut tot_ticks = 0u64;
     let mut tot_retired = 0u64;
     let mut mismatches = 0usize;

@@ -16,7 +16,10 @@ use zhuyi::ops::{measured_ops, OpsBound};
 use zhuyi::ZhuyiConfig;
 use zhuyi_bench::{write_results, Table};
 
+const USAGE: &str = "USAGE: compute_demand   (no arguments; -h/--help prints this)";
+
 fn main() {
+    zhuyi_bench::switches(USAGE, []);
     let config = ZhuyiConfig::paper();
     println!("== Zhuyi model compute demand (paper 4.2) ==\n");
 

@@ -10,7 +10,10 @@
 use compute_model::{PerceptionWorkload, Soc};
 use zhuyi_bench::{write_results, Table};
 
+const USAGE: &str = "USAGE: fig1_compute_demand   (no arguments; -h/--help prints this)";
+
 fn main() {
+    zhuyi_bench::switches(USAGE, []);
     let workload = PerceptionWorkload::paper_default();
     let socs = [Soc::xavier(), Soc::orin()];
     let rates = [10.0, 20.0, 30.0, 40.0];

@@ -12,7 +12,10 @@
 use av_scenarios::catalog::ScenarioId;
 use zhuyi_bench::figures::{emit_camera_figure, run_and_analyze};
 
+const USAGE: &str = "USAGE: fig4_cut_out_fast   (no arguments; -h/--help prints this)";
+
 fn main() {
+    zhuyi_bench::switches(USAGE, []);
     let (trace, analysis) = run_and_analyze(ScenarioId::CutOutFast, 0, 30.0, 10);
     assert!(!trace.collided(), "the 30-FPR reference run must be safe");
     emit_camera_figure(

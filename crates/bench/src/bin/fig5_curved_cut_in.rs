@@ -10,7 +10,10 @@
 use av_scenarios::catalog::ScenarioId;
 use zhuyi_bench::figures::{emit_camera_figure, run_and_analyze};
 
+const USAGE: &str = "USAGE: fig5_curved_cut_in   (no arguments; -h/--help prints this)";
+
 fn main() {
+    zhuyi_bench::switches(USAGE, []);
     let (trace, analysis) = run_and_analyze(ScenarioId::ChallengingCutInCurved, 0, 30.0, 10);
     assert!(!trace.collided(), "the 30-FPR reference run must be safe");
     emit_camera_figure(

@@ -59,7 +59,10 @@ fn online_front_series_with(
         .collect()
 }
 
+const USAGE: &str = "USAGE: fig7_post_deployment   (no arguments; -h/--help prints this)";
+
 fn main() {
+    zhuyi_bench::switches(USAGE, []);
     let scenario = Scenario::build(ScenarioId::CutIn, 0);
 
     // Pre-deployment reference (Fig. 6's front panel).

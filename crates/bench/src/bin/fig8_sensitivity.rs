@@ -51,8 +51,11 @@ fn emit(grid: &SensitivityGrid, stem: &str) {
     println!("written to {}\n", path.display());
 }
 
+const USAGE: &str = "USAGE: fig8_sensitivity [--aggregate]
+  --aggregate  also print the C1 ablation at s_n = 30 m";
+
 fn main() {
-    let ablate = std::env::args().any(|a| a == "--aggregate");
+    let [ablate] = zhuyi_bench::switches(USAGE, ["--aggregate"]);
     println!("== Figure 8: minimum-FPR sensitivity over velocities ==\n");
     println!(
         "(following the paper's setting, the confirmation-delay term is \

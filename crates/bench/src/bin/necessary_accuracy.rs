@@ -21,7 +21,10 @@ use zhuyi::uncertainty::required_accuracy;
 use zhuyi::ZhuyiConfig;
 use zhuyi_bench::{write_results, Table};
 
+const USAGE: &str = "USAGE: necessary_accuracy   (no arguments; -h/--help prints this)";
+
 fn main() {
+    zhuyi_bench::switches(USAGE, []);
     let estimator =
         TolerableLatencyEstimator::new(ZhuyiConfig::paper()).expect("paper config is valid");
     let l0 = Seconds(1.0 / 30.0);

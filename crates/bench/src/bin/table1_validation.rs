@@ -25,9 +25,8 @@
 //! text before anything runs.
 
 use av_scenarios::catalog::{minimum_required_fpr, Mrf, ScenarioId, PAPER_RATE_GRID};
-use std::process::ExitCode;
 use zhuyi_bench::figures::{run_and_analyze, TABLE1_CAMERAS};
-use zhuyi_bench::{fmt1, mean, write_results, Table};
+use zhuyi_bench::{command_line, fmt1, mean, write_results, Table};
 
 const USAGE: &str = "USAGE: table1_validation [--seeds N] [--quick]
   --seeds N  jitter seeds per scenario, N >= 1 (default 3)
@@ -91,26 +90,22 @@ fn scenario_row(id: ScenarioId, rates: &[u32], seeds: &[u64]) -> Row {
     }
 }
 
-/// Reports a malformed command line: exit 2 with the usage text.
-fn usage_error(message: &str) -> ExitCode {
-    eprintln!("error: {message}\n{USAGE}");
-    ExitCode::from(2)
-}
-
-fn main() -> ExitCode {
-    let mut seed_count = 3u64;
-    let mut quick = false;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--quick" => quick = true,
-            "--seeds" => match args.next().and_then(|v| v.parse::<u64>().ok()) {
-                Some(n) if n > 0 => seed_count = n,
-                _ => return usage_error("--seeds needs a whole number of at least 1"),
-            },
-            _ => return usage_error(&format!("unknown argument {arg:?}")),
+fn main() {
+    let (seed_count, quick) = command_line(USAGE, |args| {
+        let (mut seed_count, mut quick) = (3u64, false);
+        let mut args = args.into_iter();
+        while let Some(arg) = args.next() {
+            match arg.as_str() {
+                "--quick" => quick = true,
+                "--seeds" => match args.next().and_then(|v| v.parse::<u64>().ok()) {
+                    Some(n) if n > 0 => seed_count = n,
+                    _ => return Err("--seeds needs a whole number of at least 1".to_string()),
+                },
+                _ => return Err(format!("unknown argument {arg:?}")),
+            }
         }
-    }
+        Ok((seed_count, quick))
+    });
     let seeds: Vec<u64> = (0..seed_count).collect();
     let rates: Vec<u32> = if quick {
         vec![1, 5, 30]
@@ -186,5 +181,4 @@ fn main() -> ExitCode {
     );
     let path = write_results("table1_validation.csv", &table.to_csv());
     println!("written to {}", path.display());
-    ExitCode::SUCCESS
 }

@@ -92,6 +92,39 @@ impl Table {
     }
 }
 
+/// Reads an experiment binary's command line against its usage text,
+/// which starts with `USAGE:`. `--help` or `-h` anywhere prints `usage`
+/// and exits 0. Otherwise `parse` reads the arguments; its `Err` is a
+/// usage error, reported as an `error:` line plus `usage` on stderr with
+/// exit code 2, before the binary has written anything.
+pub fn command_line<T>(usage: &str, parse: impl FnOnce(Vec<String>) -> Result<T, String>) -> T {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    if args.iter().any(|arg| arg == "--help" || arg == "-h") {
+        println!("{usage}");
+        std::process::exit(0);
+    }
+    parse(args).unwrap_or_else(|message| {
+        eprintln!("error: {message}\n{usage}");
+        std::process::exit(2)
+    })
+}
+
+/// [`command_line`] for a binary whose arguments are on/off switches:
+/// which of `names` were given. Any other argument is a usage error.
+pub fn switches<const N: usize>(usage: &str, names: [&str; N]) -> [bool; N] {
+    command_line(usage, |args| {
+        let mut given = [false; N];
+        for arg in args {
+            let i = names
+                .iter()
+                .position(|&name| name == arg)
+                .ok_or_else(|| format!("unknown argument {arg:?}"))?;
+            given[i] = true;
+        }
+        Ok(given)
+    })
+}
+
 /// The directory experiment binaries write their CSVs into: `results/`
 /// under the current working directory, so a binary writes into the
 /// checkout it is run from (the repo root, in every documented command),

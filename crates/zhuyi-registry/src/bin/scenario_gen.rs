@@ -21,6 +21,7 @@ Options:
   --config <path>   Generator config (required)
   --out <dir>       Write one .scn file per generated scenario
   --list            Print generated scenario names without writing
+  -h, --help        Print this text
 ";
 
 #[derive(Debug, Default)]
@@ -30,6 +31,8 @@ struct Args {
     list: bool,
 }
 
+/// The parsed command line; `Err` carries a usage error, or nothing for
+/// `--help`.
 fn parse_args(argv: &[String]) -> Result<Args, String> {
     let mut args = Args::default();
     let mut iter = argv.iter();
@@ -40,6 +43,7 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
                 .ok_or_else(|| format!("{name} requires a value"))
         };
         match flag.as_str() {
+            "--help" | "-h" => return Err(String::new()),
             "--config" => args.config = Some(PathBuf::from(value("--config")?)),
             "--out" => args.out = Some(PathBuf::from(value("--out")?)),
             "--list" => args.list = true,
@@ -97,6 +101,10 @@ fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let args = match parse_args(&argv) {
         Ok(args) => args,
+        Err(message) if message.is_empty() => {
+            print!("{USAGE}");
+            return ExitCode::SUCCESS;
+        }
         Err(message) => {
             eprintln!("error: {message}");
             eprint!("{USAGE}");
