@@ -12,7 +12,7 @@
 //!               [--scenario-dir DIR] [--variants N] [--workers N] [--rates 1,2,...,30]
 //!               [--fpr F] [--plans all|0,2] [--predictor oracle|cv|ca]
 //!               [--stride N] [--csv NAME] [--json NAME] [--traces]
-//!               [--record-traces] [--per-rate] [--baseline]
+//!               [--per-rate] [--baseline]
 //!               [--dist] [--listen ADDR] [--checkpoint PATH] [--batch N]
 //!               [--connect ADDR] [--chaos-seed N] [--chaos-profile NAME]
 //!               [--max-job-failures K] [--verify-fraction F]
@@ -90,7 +90,6 @@ struct Args {
     csv: Option<String>,
     json: Option<String>,
     traces: bool,
-    record_traces: bool,
     per_rate: bool,
     baseline: bool,
     dist: bool,
@@ -151,7 +150,6 @@ impl Default for Args {
             csv: None,
             json: None,
             traces: false,
-            record_traces: false,
             per_rate: false,
             baseline: false,
             dist: false,
@@ -239,7 +237,6 @@ fn parse_args() -> Result<Args, String> {
             "--csv" => args.csv = Some(value("--csv")?),
             "--json" => args.json = Some(value("--json")?),
             "--traces" => args.traces = true,
-            "--record-traces" => args.record_traces = true,
             "--per-rate" => args.per_rate = true,
             "--baseline" => args.baseline = true,
             "--dist" => args.dist = true,
@@ -306,6 +303,9 @@ fn parse_args() -> Result<Args, String> {
     if args.variants == 0 {
         return Err("--variants must be >= 1".to_string());
     }
+    if args.stride == 0 {
+        return Err("--stride must be >= 1".to_string());
+    }
     if !(args.fpr.is_finite() && args.fpr > 0.0) {
         return Err("--fpr must be positive and finite".to_string());
     }
@@ -352,7 +352,6 @@ fn parse_args() -> Result<Args, String> {
             "--plans",
             "--predictor",
             "--stride",
-            "--record-traces",
             "--per-rate",
         ];
         if let Some(flag) = seen.iter().find(|f| plan_flags.contains(&f.as_str())) {
@@ -375,7 +374,6 @@ fn parse_args() -> Result<Args, String> {
             "--plans",
             "--predictor",
             "--stride",
-            "--record-traces",
             "--per-rate",
         ];
         if let Some(flag) = seen.iter().find(|f| plan_flags.contains(&f.as_str())) {
@@ -386,11 +384,6 @@ fn parse_args() -> Result<Args, String> {
     }
     // Reject flags the selected mode would silently ignore — a dropped
     // `--rates` or `--fpr` quietly changes what safety question was asked.
-    if args.record_traces && args.per_rate {
-        // Trace-recording MSF probes always take the per-rate classic
-        // path; --per-rate alongside would be silently redundant.
-        return Err("--per-rate does not apply with --record-traces".to_string());
-    }
     if args.connect.is_none() {
         let irrelevant: &[&str] = match args.mode {
             Mode::Msf => &["--fpr", "--plans", "--predictor", "--stride", "--traces"],
@@ -402,15 +395,7 @@ fn parse_args() -> Result<Args, String> {
                 "--per-rate",
             ],
             Mode::PerCamera => &["--rates", "--fpr", "--predictor", "--stride", "--per-rate"],
-            // Analyze jobs always record (the estimator consumes the
-            // trace), so --record-traces would be a silent no-op there.
-            Mode::Analyze => &[
-                "--rates",
-                "--plans",
-                "--traces",
-                "--record-traces",
-                "--per-rate",
-            ],
+            Mode::Analyze => &["--rates", "--plans", "--traces", "--per-rate"],
         };
         if let Some(flag) = seen.iter().find(|f| irrelevant.contains(&f.as_str())) {
             return Err(format!(
@@ -484,7 +469,7 @@ fn usage() {
          \x20             [--scenario-dir DIR] [--variants N] [--workers N] [--rates 1,2,...,30]\n\
          \x20             [--fpr F] [--plans all|0,2] [--predictor oracle|cv|ca]\n\
          \x20             [--stride N] [--csv NAME] [--json NAME] [--traces]\n\
-         \x20             [--record-traces] [--per-rate] [--baseline]\n\
+         \x20             [--per-rate] [--baseline]\n\
          \x20             [--dist] [--listen ADDR] [--checkpoint PATH] [--batch N]\n\
          \x20             [--connect ADDR] [--chaos-seed N] [--chaos-profile NAME]\n\
          \x20             [--max-job-failures K] [--verify-fraction F] [--fail-after N]\n\
@@ -675,7 +660,6 @@ fn main() -> ExitCode {
     );
 
     let options = ExecOptions {
-        record_traces: args.record_traces,
         per_rate: args.per_rate,
     };
     let start = Instant::now();

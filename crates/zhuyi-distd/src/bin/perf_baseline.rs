@@ -1,16 +1,16 @@
-//! `perf_baseline` — measure the streaming simulation core against the
-//! classic trace-recording path and record the result as
+//! `perf_baseline` — measure the streaming simulation core and the two
+//! minimum-safe-FPR searches, and record the result as
 //! `results/BENCH_sim.json`.
 //!
-//! Two measurements, both over the real scenario catalog:
+//! Five measurements, all over the real scenario catalog:
 //!
 //! 1. **single-run throughput** (ticks/sec): every selected scenario at
 //!    30 FPR, once through `Scenario::run_at` (full trace) and once
 //!    through `Scenario::outcome_at` (streaming `MetricsObserver`);
 //! 2. **MSF catalog sweep** (sims/sec): the paper's Table-1 workload —
 //!    scenarios × jittered variants × `min_safe_fpr` over the rate grid —
-//!    executed by the fleet engine metrics-only vs. with
-//!    `ExecOptions::record_traces` forcing full traces;
+//!    executed by the fleet engine through the per-rate search
+//!    (`ExecOptions::per_rate`);
 //! 3. **batched MSF sweep** (sims/sec): the same workload through the
 //!    default lane-batched lockstep backend, measured
 //!    *interleaved* with the per-rate path — alternating A/B within each
@@ -194,12 +194,12 @@ fn parse_args() -> Result<Args, String> {
 
 fn usage() {
     eprintln!(
-        "perf_baseline — streaming vs trace-recording simulation-core benchmark\n\n\
+        "perf_baseline — simulation-core and MSF-search benchmark\n\n\
          USAGE:\n  perf_baseline [--scenarios all|0,1,5] [--variants N]\n\
          \x20              [--rates 1,2,...,30] [--workers N] [--reps N]\n\
          \x20              [--shards 1,2,4|none] [--baseline-s SECS] [--out NAME]\n\n\
          Writes results/<NAME> (default BENCH_sim.json): single-run ticks/sec and\n\
-         MSF-sweep sims/sec for the recorded and streaming paths, plus speedups,\n\
+         MSF-sweep sims/sec for the per-rate and batched searches, plus speedups,\n\
          plus a shard_scaling section measuring the same streaming sweep sharded\n\
          across --shards spawned fleet_shard worker processes (build fleet_shard\n\
          first; every distributed run's exports are asserted byte-identical).\n\
@@ -328,38 +328,21 @@ fn main() -> ExitCode {
         .or_else(|| previous_streaming_sims_per_s(&args.out))
         .or(args.prev_remeasured_sims_per_s);
 
-    // Three sweep backends, measured interleaved (one rep of each per
-    // round) so machine noise lands on every side equally: the classic
-    // trace-recording path, the per-rate streaming path, and the
-    // lane-batched lockstep path.
-    let per_rate_options = ExecOptions {
-        per_rate: true,
-        ..ExecOptions::default()
-    };
-    let recorded_options = ExecOptions {
-        record_traces: true,
-        ..ExecOptions::default()
-    };
+    // The two sweep backends, measured interleaved (one rep of each per
+    // round) so machine noise lands on both sides equally: the per-rate
+    // streaming path and the lane-batched lockstep path.
+    let per_rate_options = ExecOptions { per_rate: true };
     let batched_options = ExecOptions::default();
-    let mut recorded_samples = Vec::new();
     let mut per_rate_samples = Vec::new();
     let mut batched_samples = Vec::new();
     let mut stores = None;
     for _ in 0..args.reps {
-        let start = Instant::now();
-        let recorded_store = run_sweep_with(&plan, args.workers, recorded_options);
-        recorded_samples.push(start.elapsed().as_secs_f64());
         let start = Instant::now();
         let per_rate_store = run_sweep_with(&plan, args.workers, per_rate_options);
         per_rate_samples.push(start.elapsed().as_secs_f64());
         let start = Instant::now();
         let batched_store = run_sweep_with(&plan, args.workers, batched_options);
         batched_samples.push(start.elapsed().as_secs_f64());
-        assert_eq!(
-            recorded_store.to_csv(),
-            per_rate_store.to_csv(),
-            "streaming and recorded sweeps must export identical results"
-        );
         assert_eq!(
             per_rate_store.to_csv(),
             batched_store.to_csv(),
@@ -373,7 +356,6 @@ fn main() -> ExitCode {
         stores = Some((per_rate_store, batched_store));
     }
     let (streaming_store, _batched_store) = stores.expect("reps >= 1");
-    let recorded_sweep = spread(&recorded_samples);
     let per_rate_sweep = spread(&per_rate_samples);
     let batched_sweep = spread(&batched_samples);
     let sims: u64 = streaming_store
@@ -384,17 +366,13 @@ fn main() -> ExitCode {
             _ => 0,
         })
         .sum();
-    let sweep_speedup = recorded_sweep.median / per_rate_sweep.median.max(1e-9);
     let batched_speedup = per_rate_sweep.median / batched_sweep.median.max(1e-9);
     println!(
-        "msf sweep (median of {} reps): {} sims; recorded {:.2}s ({:.1} sims/s), per-rate streaming {:.2}s ({:.1} sims/s) -> {:.2}x",
+        "msf sweep (median of {} reps): {} sims; per-rate streaming {:.2}s ({:.1} sims/s)",
         args.reps,
         sims,
-        recorded_sweep.median,
-        sims as f64 / recorded_sweep.median.max(1e-9),
         per_rate_sweep.median,
         sims as f64 / per_rate_sweep.median.max(1e-9),
-        sweep_speedup,
     );
     println!(
         "batched msf sweep: {:.2}s ({:.1} sims/s) -> {:.2}x over the per-rate path (interleaved; spread {:.2}-{:.2}s vs {:.2}-{:.2}s)",
@@ -544,18 +522,13 @@ fn main() -> ExitCode {
     );
     let _ = writeln!(
         json,
-        "  \"msf_sweep\": {{\"jobs\": {}, \"sims\": {}, \"recorded_s\": {:.6}, \"recorded_s_min\": {:.6}, \"recorded_s_max\": {:.6}, \"streaming_s\": {:.6}, \"streaming_s_min\": {:.6}, \"streaming_s_max\": {:.6}, \"recorded_sims_per_s\": {:.2}, \"streaming_sims_per_s\": {:.2}, \"speedup\": {:.3}}},",
+        "  \"msf_sweep\": {{\"jobs\": {}, \"sims\": {}, \"streaming_s\": {:.6}, \"streaming_s_min\": {:.6}, \"streaming_s_max\": {:.6}, \"streaming_sims_per_s\": {:.2}}},",
         plan.len(),
         sims,
-        recorded_sweep.median,
-        recorded_sweep.min,
-        recorded_sweep.max,
         per_rate_sweep.median,
         per_rate_sweep.min,
         per_rate_sweep.max,
-        sims as f64 / recorded_sweep.median.max(1e-9),
         sims as f64 / per_rate_sweep.median.max(1e-9),
-        sweep_speedup,
     );
     let _ = writeln!(
         json,

@@ -238,7 +238,7 @@ fn rpc(config: &ClientConfig, frame: &Frame) -> Result<Frame, ClientError> {
 }
 
 /// Submits `plan` (idempotently — the fingerprint is derived from the
-/// plan and options, so resubmitting the same sweep dedups server-side).
+/// plan's jobs, so resubmitting the same sweep dedups server-side).
 ///
 /// # Errors
 ///

@@ -14,10 +14,10 @@
 //! same damage anywhere earlier fails the load, because a mid-file hole
 //! means the file as a whole is not trustworthy.
 //!
-//! # File format (v2)
+//! # File format (v3)
 //!
 //! ```text
-//! magic   b"ZHUYIDJ2"                        (8 bytes)
+//! magic   b"ZHUYIDJ3"                        (8 bytes)
 //! records u32-LE length
 //!         u32-LE FNV-1a-32 payload checksum  (see `wire::payload_checksum`)
 //!         payload: 1-byte record tag + fields
@@ -34,10 +34,10 @@
 //! 5 Fetched   {fingerprint u64}
 //! ```
 //!
-//! v2 encodes `Submitted`'s options as two bools (`record_traces`,
-//! `per_rate`), following wire protocol v8. A v1 journal (`ZHUYIDJ1`)
-//! carried two extra `u32` counts there, so [`load`] refuses its header
-//! rather than misread its plans.
+//! v3 encodes `Submitted`'s options as one bool (`per_rate`), following
+//! wire protocol v9. Older journals carried more there (v2 `ZHUYIDJ2` a
+//! second bool, v1 `ZHUYIDJ1` two `u32` counts besides), so [`load`]
+//! refuses their header, naming it, rather than misread their plans.
 //!
 //! [`replay`] folds a loaded record stream back into per-plan state:
 //! a restarted daemon re-queues every plan without a `Completed` record,
@@ -55,7 +55,7 @@ use std::io::{BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
 use zhuyi_fleet::{ExecOptions, JobResult, SweepJob, SweepPlan};
 
-const MAGIC: &[u8; 8] = b"ZHUYIDJ2";
+const MAGIC: &[u8; 8] = b"ZHUYIDJ3";
 
 /// Errors raised while writing or loading a journal.
 #[derive(Debug)]
@@ -64,7 +64,7 @@ pub enum JournalError {
     Io(std::io::Error),
     /// The file is not a journal, or a non-tail record is corrupt.
     Corrupt(String),
-    /// A checkpoint journal holds a different (plan, options) pair.
+    /// A checkpoint journal holds a different plan.
     PlanMismatch {
         /// Fingerprint of the plan the file holds.
         found: u64,
@@ -81,7 +81,7 @@ impl std::fmt::Display for JournalError {
             JournalError::PlanMismatch { found, expected } => write!(
                 f,
                 "checkpoint fingerprint {found:#018x} does not match this sweep \
-                 ({expected:#018x}); it records a different plan or options"
+                 ({expected:#018x}); it records a different plan"
             ),
         }
     }
@@ -95,11 +95,14 @@ impl From<std::io::Error> for JournalError {
     }
 }
 
-/// FNV-1a 64-bit over the plan's wire-encoded jobs plus the exec options
-/// — a plan's identity in the journal, the daemon's dedup index and a
-/// checkpoint. Folds one reused per-job buffer into the hash state, so
-/// memory stays O(1) in the plan size.
-pub fn plan_fingerprint(plan: &SweepPlan, options: ExecOptions) -> u64 {
+/// FNV-1a 64-bit over the plan's wire-encoded jobs — a plan's identity
+/// in the journal, the daemon's dedup index and a checkpoint. Folds one
+/// reused per-job buffer into the hash state, so memory stays O(1) in
+/// the plan size.
+///
+/// `_options` is not folded in: no execution option changes an exported
+/// byte, so no option is part of a plan's identity.
+pub fn plan_fingerprint(plan: &SweepPlan, _options: ExecOptions) -> u64 {
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
     let fold = |hash: &mut u64, bytes: &[u8]| {
         for &b in bytes {
@@ -113,7 +116,6 @@ pub fn plan_fingerprint(plan: &SweepPlan, options: ExecOptions) -> u64 {
         wire::put_job(&mut buf, job);
         fold(&mut hash, &buf);
     }
-    fold(&mut hash, &[u8::from(options.record_traces)]);
     hash
 }
 
@@ -330,15 +332,24 @@ impl JournalWriter {
 ///
 /// # Errors
 ///
-/// [`JournalError::Corrupt`] for bad magic, a checksum failure on any
-/// non-tail record, or a checksum-valid record that still does not
-/// decode (writer/reader bug or forged file — tolerating it would hide
-/// real corruption).
+/// [`JournalError::Corrupt`] for bad magic (naming the header found
+/// when it is another version's), a checksum failure on any non-tail
+/// record, or a checksum-valid record that still does not decode
+/// (writer/reader bug or forged file — tolerating it would hide real
+/// corruption).
 pub fn load(path: &Path) -> Result<Vec<JournalRecord>, JournalError> {
     let mut bytes = Vec::new();
     File::open(path)?.read_to_end(&mut bytes)?;
-    if bytes.len() < MAGIC.len() || &bytes[..MAGIC.len()] != MAGIC {
-        return Err(JournalError::Corrupt("bad or missing header".into()));
+    match bytes.get(..MAGIC.len()) {
+        Some(header) if header == MAGIC => {}
+        Some(header) if header.starts_with(b"ZHUYID") => {
+            return Err(JournalError::Corrupt(format!(
+                "unsupported header {} (this build reads {})",
+                header.escape_ascii(),
+                MAGIC.escape_ascii()
+            )))
+        }
+        _ => return Err(JournalError::Corrupt("bad or missing header".into())),
     }
     let mut records = Vec::new();
     let mut pos = MAGIC.len();
@@ -544,10 +555,7 @@ mod tests {
             JournalRecord::Submitted {
                 fingerprint: 0xbb,
                 client: "client-b".into(),
-                options: ExecOptions {
-                    record_traces: false,
-                    per_rate: true,
-                },
+                options: ExecOptions { per_rate: true },
                 jobs: vec![probe_job(0)],
             },
             JournalRecord::Result {
@@ -666,26 +674,32 @@ mod tests {
 
     #[test]
     fn v1_journals_are_refused_not_misparsed() {
-        // A well-formed v1 journal: the old header and one checksummed
-        // Submitted record whose options still carry the two u32 counts
-        // (lane chunk width, seed-block count) after `record_traces`.
-        let mut payload = vec![1u8];
-        wire::put_u64(&mut payload, 0xaa);
-        wire::put_str(&mut payload, "client-a");
-        wire::put_bool(&mut payload, false);
-        wire::put_u32(&mut payload, 0);
-        wire::put_u32(&mut payload, 4);
-        wire::put_u32(&mut payload, 1);
-        wire::put_job(&mut payload, &probe_job(0));
-        let mut bytes = b"ZHUYIDJ1".to_vec();
-        bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        bytes.extend_from_slice(&wire::payload_checksum(&payload).to_le_bytes());
-        bytes.extend_from_slice(&payload);
-        let path = tmp("v1");
-        std::fs::write(&path, &bytes).expect("write v1 journal");
-        match load(&path) {
-            Err(JournalError::Corrupt(what)) => assert!(what.contains("header"), "{what}"),
-            other => panic!("a v1 journal must be refused, got {other:?}"),
+        // Well-formed older journals: the old header and one checksummed
+        // Submitted record in that version's option encoding. v1 has a
+        // trace-recording bool and two u32 counts (lane chunk width,
+        // seed-block count), v2 that bool and `per_rate`.
+        let v1_options = [&[0u8][..], &0u32.to_le_bytes(), &4u32.to_le_bytes()].concat();
+        for (magic, options) in [("ZHUYIDJ1", v1_options), ("ZHUYIDJ2", vec![0, 1])] {
+            let mut payload = vec![1u8];
+            wire::put_u64(&mut payload, 0xaa);
+            wire::put_str(&mut payload, "client-a");
+            payload.extend_from_slice(&options);
+            wire::put_u32(&mut payload, 1);
+            wire::put_job(&mut payload, &probe_job(0));
+            let mut bytes = magic.as_bytes().to_vec();
+            bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+            bytes.extend_from_slice(&wire::payload_checksum(&payload).to_le_bytes());
+            bytes.extend_from_slice(&payload);
+            let path = tmp(magic);
+            std::fs::write(&path, &bytes).expect("write old journal");
+            match load(&path) {
+                Err(JournalError::Corrupt(what)) => {
+                    assert!(what.contains(&format!("header {magic}")), "{what}");
+                    assert!(what.contains("reads ZHUYIDJ3"), "{what}");
+                }
+                other => panic!("a {magic} journal must be refused, got {other:?}"),
+            }
+            assert_eq!(std::fs::read(&path).expect("reread"), bytes, "{magic}");
         }
     }
 
@@ -769,7 +783,7 @@ mod tests {
     }
 
     #[test]
-    fn fingerprint_separates_plans_and_options() {
+    fn fingerprint_separates_plans_not_options() {
         let plan_a = SweepPlan::builder()
             .scenarios([ScenarioId::CutOut])
             .seeds([0])
@@ -781,10 +795,6 @@ mod tests {
             .probe(4.0, false)
             .build();
         let defaults = ExecOptions::default();
-        let recording = ExecOptions {
-            record_traces: true,
-            ..ExecOptions::default()
-        };
         assert_eq!(
             plan_fingerprint(&plan_a, defaults),
             plan_fingerprint(&plan_a, defaults),
@@ -794,9 +804,10 @@ mod tests {
             plan_fingerprint(&plan_a, defaults),
             plan_fingerprint(&plan_b, defaults)
         );
-        assert_ne!(
+        assert_eq!(
             plan_fingerprint(&plan_a, defaults),
-            plan_fingerprint(&plan_a, recording)
+            plan_fingerprint(&plan_a, ExecOptions { per_rate: true }),
+            "no option changes an exported byte, so none is part of the identity"
         );
     }
 }

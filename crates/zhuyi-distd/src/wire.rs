@@ -82,9 +82,10 @@ use zhuyi_registry::{ScenarioDef, ScenarioSource};
 /// [`Frame::Assign`] (warm workers serve consecutive plans with
 /// different options) and added the client-session frames
 /// ([`Frame::ClientHello`] through [`Frame::DrainAck`]); v8 shrank the
-/// encoded execution options to two bools (`record_traces`,
-/// `per_rate`), dropping the lane-chunk and seed-block counts.
-pub const PROTOCOL_VERSION: u16 = 8;
+/// encoded execution options to two bools, dropping the lane-chunk and
+/// seed-block counts; v9 shrank them to one bool, `per_rate`, when the
+/// trace-recording option was deleted.
+pub const PROTOCOL_VERSION: u16 = 9;
 
 /// Upper bound on a single frame's payload (defends both sides against a
 /// corrupt or hostile length prefix). Kept traces are the largest payload
@@ -281,9 +282,9 @@ pub enum Frame {
     /// answers [`Frame::Accepted`] with `deduped: true`.
     Submit {
         /// The client-side plan fingerprint
-        /// ([`crate::journal::plan_fingerprint`] over `jobs` +
-        /// `options`) — the plan's identity for dedup, status, cancel
-        /// and fetch.
+        /// ([`crate::journal::plan_fingerprint`] over `jobs`; no option
+        /// is part of it) — the plan's identity for dedup, status,
+        /// cancel and fetch.
         fingerprint: u64,
         /// Plan-wide execution options.
         options: ExecOptions,
@@ -532,13 +533,11 @@ impl<'a> Reader<'a> {
 // --- domain codecs ------------------------------------------------------
 
 pub(crate) fn put_exec_options(out: &mut Vec<u8>, options: ExecOptions) {
-    put_bool(out, options.record_traces);
     put_bool(out, options.per_rate);
 }
 
 pub(crate) fn exec_options(r: &mut Reader<'_>) -> Result<ExecOptions, WireError> {
     Ok(ExecOptions {
-        record_traces: r.boolean()?,
         per_rate: r.boolean()?,
     })
 }
@@ -1370,10 +1369,7 @@ mod tests {
             },
             Frame::Assign {
                 batch: 7,
-                options: ExecOptions {
-                    record_traces: false,
-                    per_rate: true,
-                },
+                options: ExecOptions { per_rate: true },
                 jobs: sample_jobs(),
             },
             Frame::Revoke {
@@ -1417,10 +1413,7 @@ mod tests {
             },
             Frame::Submit {
                 fingerprint: 0xdead_beef_cafe_f00d,
-                options: ExecOptions {
-                    record_traces: true,
-                    per_rate: false,
-                },
+                options: ExecOptions::default(),
                 jobs: sample_jobs(),
             },
             Frame::Accepted {
@@ -1471,10 +1464,7 @@ mod tests {
     #[test]
     fn write_assign_matches_the_owned_frame_encoding() {
         let jobs = sample_jobs();
-        let options = ExecOptions {
-            record_traces: false,
-            per_rate: true,
-        };
+        let options = ExecOptions { per_rate: true };
         let mut borrowed: Vec<u8> = Vec::new();
         write_assign(&mut borrowed, 7, options, &jobs).expect("write into a Vec");
         let mut owned: Vec<u8> = Vec::new();

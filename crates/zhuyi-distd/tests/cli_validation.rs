@@ -71,6 +71,35 @@ fn exports_land_under_the_working_directory() {
 }
 
 #[test]
+fn daemon_refuses_an_old_journal_by_name_and_leaves_it_untouched() {
+    // The previous journal version's header: the daemon stops before it
+    // compacts or appends anything.
+    let dir = std::env::temp_dir().join(format!("fleet-sweep-old-journal-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let path = dir.join("old.journal");
+    std::fs::write(&path, b"ZHUYIDJ2").expect("write old journal");
+    let journal = path.to_str().expect("UTF-8 temp path");
+    let out = fleet_sweep(&[
+        "--daemon",
+        "--listen",
+        "127.0.0.1:0",
+        "--workers",
+        "0",
+        "--journal",
+        journal,
+    ]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains("header ZHUYIDJ2") && stderr.contains("reads ZHUYIDJ3"),
+        "{stderr}"
+    );
+    assert_eq!(std::fs::read(&path).expect("reread"), b"ZHUYIDJ2");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn help_exits_zero() {
     assert_eq!(fleet_sweep(&["--help"]).status.code(), Some(0));
     assert_eq!(fleet_shard(&["--help"]).status.code(), Some(0));
@@ -139,16 +168,17 @@ fn malformed_mode_specific_values_are_rejected() {
         "out of 0..",
     );
     assert_rejected(&fleet_shard(&["--fail-after", "0"]), "--fail-after");
+    // A zero stride would be read as 1 by the executor, yet the job
+    // would carry (and be fingerprinted with) 0.
+    assert_rejected(
+        &fleet_sweep(&["--mode", "analyze", "--stride", "0"]),
+        "--stride",
+    );
 }
 
 #[test]
 fn per_rate_is_rejected_where_it_would_be_ignored() {
-    // Trace-recording searches always take the per-rate classic path, so
-    // the flag alongside would be silently redundant — reject it.
-    assert_rejected(
-        &fleet_sweep(&["--record-traces", "--per-rate"]),
-        "--record-traces",
-    );
+    assert_rejected(&fleet_sweep(&["--record-traces"]), "unknown flag");
     // The per-rate switch only exists for the MSF candidate search.
     assert_rejected(
         &fleet_sweep(&["--mode", "probe", "--per-rate"]),

@@ -89,10 +89,7 @@ fn distributed_batched_sweep_matches_per_rate_single_process() {
         .jittered_variants(2)
         .min_safe_fpr(vec![1, 2, 4, 6, 30])
         .build();
-    let per_rate_options = ExecOptions {
-        per_rate: true,
-        ..ExecOptions::default()
-    };
+    let per_rate_options = ExecOptions { per_rate: true };
     let per_rate = fingerprint(&zhuyi_fleet::run_sweep_with(&plan, 1, per_rate_options));
     for options in [ExecOptions::default(), per_rate_options] {
         let dist_config = DistConfig {
@@ -209,7 +206,8 @@ fn checkpoint_refusals_leave_the_file_untouched() {
     config.checkpoint = Some(old_path.clone());
     match run_distributed(&plan, &config) {
         Err(DistError::Checkpoint(JournalError::Corrupt(what))) => {
-            assert!(what.contains("header"), "{what}")
+            assert!(what.contains("header ZHUYIDC2"), "{what}");
+            assert!(what.contains("reads ZHUYIDJ3"), "{what}");
         }
         other => panic!("an old-format checkpoint must be refused, got {other:?}"),
     }

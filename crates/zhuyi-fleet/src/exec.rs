@@ -5,14 +5,14 @@
 //! estimator is deterministic — which is the property the worker pool's
 //! deterministic merge relies on.
 //!
-//! By default execution is *metrics-only* wherever the outcome allows it:
-//! collision probes and minimum-safe-FPR searches stream each run through
-//! an [`av_sim::observer::MetricsObserver`] and never store a scene. Full
-//! traces are recorded only for jobs that actually export them (probes
-//! with `keep_trace`) or analyze them (Zhuyi trace analysis) — or for
-//! every job when [`ExecOptions::record_traces`] forces the classic path
-//! (the `fleet_sweep --record-traces` flag, and the baseline that the
-//! `perf_baseline` benchmark measures the streaming path against).
+//! Execution is *metrics-only* wherever the outcome allows it: collision
+//! probes stream each run through an
+//! [`av_sim::observer::MetricsObserver`], minimum-safe-FPR searches
+//! consult only collision bits, and neither stores a scene. Full traces
+//! are recorded only for jobs that export them (probes with
+//! `keep_trace`) or analyze them (Zhuyi trace analysis). [`ExecOptions`]
+//! only picks which of the two minimum-safe-FPR searches runs; no option
+//! changes an exported byte.
 //!
 //! An analysis job walks its trace once, whatever the predictor: each
 //! analyzed scene goes through Zhuyi's one estimation step
@@ -21,7 +21,7 @@
 //! estimator ([`OnlineEstimator::estimate`]).
 
 use crate::job::{JobKind, JobSpec, PredictorChoice};
-use crate::search::{min_safe_fpr_batched, min_safe_fpr_with};
+use crate::search::{min_safe_fpr, min_safe_fpr_batched};
 use crate::store::{AnalysisOutcome, JobOutcome, ProbeOutcome};
 use av_core::units::Seconds;
 use av_perception::rig::CameraRig;
@@ -38,21 +38,15 @@ use zhuyi_runtime::online::{OnlineConfig, OnlineEstimator};
 /// Execution-wide options, orthogonal to the per-job [`JobSpec`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ExecOptions {
-    /// Force the classic full-trace path even for jobs whose outcome only
-    /// needs scalars. Costs memory and time; produces identical results
-    /// (pinned by the fleet determinism tests). Trace-recording
-    /// minimum-safe-FPR searches always take the per-rate path.
-    pub record_traces: bool,
     /// Run minimum-safe-FPR searches through the per-rate reference
-    /// search ([`crate::search::min_safe_fpr_with`]) instead of the
+    /// search ([`crate::search::min_safe_fpr`]) instead of the
     /// default one-pass lane-batched search
     /// ([`crate::search::min_safe_fpr_batched`]). Both produce
     /// byte-identical exports; other job kinds ignore the flag.
     pub per_rate: bool,
 }
 
-/// Executes one job to completion with default options (metrics-only
-/// wherever possible).
+/// Executes one job to completion with default options.
 ///
 /// # Panics
 ///
@@ -72,9 +66,8 @@ pub fn execute_with(spec: &JobSpec, options: ExecOptions) -> JobOutcome {
     let scenario = spec.scenario.build(spec.seed);
     match &spec.kind {
         JobKind::Probe { plan, keep_trace } => {
-            if *keep_trace || options.record_traces {
-                let trace = run(&scenario, plan);
-                JobOutcome::Probe(probe_outcome(&trace, *keep_trace))
+            if *keep_trace {
+                JobOutcome::Probe(probe_outcome(&run(&scenario, plan)))
             } else {
                 let mut metrics = MetricsObserver::new();
                 scenario
@@ -83,16 +76,11 @@ pub fn execute_with(spec: &JobSpec, options: ExecOptions) -> JobOutcome {
                 JobOutcome::Probe(probe_from_summary(&metrics.summary()))
             }
         }
-        JobKind::MinSafeFpr { candidates } => {
-            // The batched grid cannot record per-candidate traces, so
-            // `record_traces` always routes through the per-rate search.
-            let search = if options.record_traces || options.per_rate {
-                min_safe_fpr_with(&scenario, candidates, options.record_traces)
-            } else {
-                min_safe_fpr_batched(&scenario, candidates)
-            };
-            JobOutcome::MinSafeFpr(search)
-        }
+        JobKind::MinSafeFpr { candidates } => JobOutcome::MinSafeFpr(if options.per_rate {
+            min_safe_fpr(&scenario, candidates)
+        } else {
+            min_safe_fpr_batched(&scenario, candidates)
+        }),
         JobKind::Analyze {
             plan,
             predictor,
@@ -117,7 +105,7 @@ fn run(scenario: &Scenario, plan: &crate::job::RateSpec) -> Trace {
         .run()
 }
 
-fn probe_outcome(trace: &Trace, keep_trace: bool) -> ProbeOutcome {
+fn probe_outcome(trace: &Trace) -> ProbeOutcome {
     let collision = trace.collision();
     ProbeOutcome {
         collided: trace.collided(),
@@ -125,7 +113,7 @@ fn probe_outcome(trace: &Trace, keep_trace: bool) -> ProbeOutcome {
         collision_actor: collision.map(|(_, a)| a),
         min_clearance: trace.min_clearance(),
         duration: trace.duration(),
-        trace_csv: keep_trace.then(|| trace_to_csv(trace)),
+        trace_csv: Some(trace_to_csv(trace)),
     }
 }
 

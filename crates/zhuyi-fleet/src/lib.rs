@@ -21,9 +21,9 @@
 //!   every higher rate, answering exactly like the old brute-force scans
 //!   while skipping the candidates below the boundary;
 //! - [`exec`] — pure job execution (the function the pool parallelizes),
-//!   metrics-only by default: probes and MSF searches stream through
-//!   `av-sim`'s `MetricsObserver` and never store a scene, recording full
-//!   traces only for jobs that export or analyze them;
+//!   metrics-only wherever the outcome allows: probes and MSF searches
+//!   stream each run and never store a scene, recording full traces only
+//!   for jobs that export or analyze them;
 //! - [`store`] — the merged [`store::ResultStore`]: percentile
 //!   aggregation per scenario, aligned tables and CSV via
 //!   [`zhuyi_bench::Table`], JSON, and full-trace export via
@@ -71,7 +71,7 @@ pub mod store;
 pub use exec::ExecOptions;
 pub use job::{JobId, JobKind, JobSpec, PredictorChoice, RateSpec, SweepJob};
 pub use plan::{SweepPlan, SweepPlanBuilder};
-pub use search::{min_safe_fpr, min_safe_fpr_batched, min_safe_fpr_with, MsfSearch};
+pub use search::{min_safe_fpr, min_safe_fpr_batched, MsfSearch};
 pub use store::{JobOutcome, JobResult, ResultStore, ScenarioSummary};
 
 /// Runs every job of `plan` on `workers` threads and merges the results
@@ -84,11 +84,10 @@ pub fn run_sweep(plan: &SweepPlan, workers: usize) -> ResultStore {
     run_sweep_with(plan, workers, ExecOptions::default())
 }
 
-/// [`run_sweep`] under explicit [`ExecOptions`] — e.g. `record_traces` to
-/// force the classic full-trace path for every job, or `per_rate` to run
+/// [`run_sweep`] under explicit [`ExecOptions`]: `per_rate` runs
 /// minimum-safe-FPR searches one candidate at a time (identical results,
-/// higher cost; the baselines the `perf_baseline` benchmark measures
-/// against).
+/// higher cost; the reference the batched search is checked and
+/// measured against).
 pub fn run_sweep_with(plan: &SweepPlan, workers: usize, options: ExecOptions) -> ResultStore {
     let results = pool::run_indexed(plan.jobs().to_vec(), workers, move |job| {
         let timer = zhuyi_telemetry::JobTimer::start();

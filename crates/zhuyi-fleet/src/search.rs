@@ -77,15 +77,12 @@ impl MsfSearch {
 
 /// Memoizing safety oracle over one scenario instance's candidate grid.
 struct Probe<'a> {
-    scenario: &'a Scenario,
-    /// Shared simulation for the streaming probes: the scenario is built
-    /// once and reset per candidate (sweep-level scene sharing). Lazily
-    /// created so the trace-recording baseline never pays for it.
-    context: Option<SweepContext<'a>>,
+    /// Shared simulation: the scenario is built once and reset per
+    /// candidate (sweep-level scene sharing).
+    context: SweepContext<'a>,
     candidates: &'a [u32],
     evals: Vec<Option<bool>>,
     sims_run: u32,
-    record_traces: bool,
 }
 
 impl Probe<'_> {
@@ -94,22 +91,12 @@ impl Probe<'_> {
             return known;
         }
         self.sims_run += 1;
-        let fpr = Fpr(f64::from(self.candidates[index]));
-        // Only the collision bit is consulted, so the default probe runs
+        // Only the collision bit is consulted, so the probe runs
         // streaming under a NullObserver (nothing recorded, nothing
-        // folded) on the shared reset-per-candidate simulation;
-        // `record_traces` forces the classic full-trace build-per-run
-        // path (the equivalence baseline, and what `--record-traces`
-        // sweeps use).
-        let safe = if self.record_traces {
-            !self.scenario.run_at(fpr).collided()
-        } else {
-            let scenario = self.scenario;
-            !self
-                .context
-                .get_or_insert_with(|| SweepContext::new(scenario))
-                .collides_at(fpr)
-        };
+        // folded).
+        let safe = !self
+            .context
+            .collides_at(Fpr(f64::from(self.candidates[index])));
         self.evals[index] = Some(safe);
         safe
     }
@@ -121,7 +108,7 @@ impl Probe<'_> {
 /// through [`av_scenarios::catalog::minimum_required_fpr`], usually in
 /// fewer simulations (see the module docs for why the upper candidates
 /// must all be checked). Probes are metrics-only (streaming, zero stored
-/// scenes); see [`min_safe_fpr_with`] to force trace-recording probes.
+/// scenes).
 ///
 /// Returns [`Mrf::BelowMinimumTested`] when every candidate is safe (the
 /// probe cannot distinguish rates below the grid floor), and
@@ -148,31 +135,13 @@ impl Probe<'_> {
 ///
 /// Panics if `candidates` is empty or not strictly ascending.
 pub fn min_safe_fpr(scenario: &Scenario, candidates: &[u32]) -> MsfSearch {
-    min_safe_fpr_with(scenario, candidates, false)
-}
-
-/// [`min_safe_fpr`] with an explicit probe backend: `record_traces =
-/// false` streams metrics only (the default fast path), `true` records a
-/// full trace per probe (the classic path). Both backends simulate the
-/// identical closed loop and return identical answers.
-///
-/// # Panics
-///
-/// Panics if `candidates` is empty or not strictly ascending.
-pub fn min_safe_fpr_with(
-    scenario: &Scenario,
-    candidates: &[u32],
-    record_traces: bool,
-) -> MsfSearch {
     check_grid(candidates);
     let n = candidates.len();
     let mut probe = Probe {
-        scenario,
-        context: None,
+        context: SweepContext::new(scenario),
         candidates,
         evals: vec![None; n],
         sims_run: 0,
-        record_traces,
     };
 
     // Phase 1 — binary localization: the first-safe index under a
@@ -263,7 +232,7 @@ fn answer(candidates: &[u32], highest_unsafe: Option<usize>, sims_run: u32) -> M
 /// The number of candidates the per-rate search would have simulated for
 /// this verdict table: the binary-localization probes plus the full
 /// verification sweep from the first-safe index up, memoized exactly as
-/// [`min_safe_fpr_with`] memoizes its probes.
+/// [`min_safe_fpr`] memoizes its probes.
 fn replayed_sims_run(safe: &[bool]) -> u32 {
     let n = safe.len();
     let mut evaluated = vec![false; n];
@@ -366,20 +335,6 @@ mod tests {
         );
         // And never more than the scan, anywhere.
         assert!(result.sims_run <= result.grid_size);
-    }
-
-    #[test]
-    fn streaming_and_recorded_probes_agree() {
-        let grid = [1u32, 4, 30];
-        for (id, seed) in [
-            (ScenarioId::CutOut, 0u64),
-            (ScenarioId::ChallengingCutInCurved, 6),
-        ] {
-            let scenario = Scenario::build(id, seed);
-            let streaming = min_safe_fpr_with(&scenario, &grid, false);
-            let recorded = min_safe_fpr_with(&scenario, &grid, true);
-            assert_eq!(streaming, recorded, "{id} seed {seed}: backends diverged");
-        }
     }
 
     #[test]

@@ -5,10 +5,7 @@
 
 use zhuyi_fleet::{run_sweep_with, ExecOptions, SweepPlan};
 
-const PER_RATE: ExecOptions = ExecOptions {
-    record_traces: false,
-    per_rate: true,
-};
+const PER_RATE: ExecOptions = ExecOptions { per_rate: true };
 
 #[test]
 fn msf_sweep_exports_are_identical_on_both_paths() {
@@ -83,27 +80,4 @@ fn per_rate_does_not_perturb_other_job_kinds() {
             "plan {i}: non-MSF exports diverged under per_rate"
         );
     }
-}
-
-#[test]
-fn record_traces_keeps_the_classic_path_whatever_per_rate_says() {
-    let plan = SweepPlan::builder()
-        .scenarios([av_scenarios::catalog::ScenarioId::CutOutFast])
-        .jittered_variants(1)
-        .min_safe_fpr(vec![1, 4, 30])
-        .build();
-    let recorded = run_sweep_with(
-        &plan,
-        1,
-        ExecOptions {
-            record_traces: true,
-            per_rate: false,
-        },
-    );
-    let per_rate = run_sweep_with(&plan, 1, PER_RATE);
-    assert_eq!(
-        recorded.to_csv(),
-        per_rate.to_csv(),
-        "trace-recording sweeps must still match the streaming exports"
-    );
 }

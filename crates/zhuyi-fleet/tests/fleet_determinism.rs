@@ -1,8 +1,12 @@
 //! Fleet determinism and correctness: a multi-threaded sweep must be
-//! byte-identical to the same sweep on one thread, and the binary-search
-//! minimum-safe-FPR driver must agree with the exhaustive grid scan.
+//! byte-identical to the same sweep on one thread, and both
+//! minimum-safe-FPR searches (lane-batched and per-rate binary) must
+//! agree with a reference built here from a fresh scenario and a full
+//! recorded trace per candidate rate.
 
-use av_scenarios::catalog::{minimum_required_fpr, ScenarioId};
+use av_core::units::Fpr;
+use av_scenarios::catalog::{Mrf, Scenario, ScenarioId};
+use zhuyi_fleet::store::ProbeOutcome;
 use zhuyi_fleet::{
     run_sweep, run_sweep_with, ExecOptions, JobOutcome, PredictorChoice, ResultStore, SweepPlan,
 };
@@ -23,6 +27,23 @@ fn mixed_plan() -> SweepPlan {
         .probe(4.0, true)
         .min_safe_fpr(vec![1, 4, 30])
         .build()
+}
+
+/// The reference minimum safe rate over `grid`, scanned from the top:
+/// each candidate runs on a freshly built scenario and records its full
+/// trace, so no state can carry from one run to the next. The answer is
+/// the candidate above the highest colliding one, as in Table 1.
+fn rebuilt_msf(id: ScenarioId, seed: u64, grid: &[u32]) -> Mrf {
+    let collides = |c: u32| {
+        Scenario::build(id, seed)
+            .run_at(Fpr(f64::from(c)))
+            .collided()
+    };
+    match grid.iter().rposition(|&c| collides(c)) {
+        None => Mrf::BelowMinimumTested,
+        Some(h) if h + 1 < grid.len() => Mrf::Fpr(grid[h + 1]),
+        Some(_) => Mrf::AboveMaximumTested,
+    }
 }
 
 fn fingerprint(store: &ResultStore) -> String {
@@ -51,71 +72,70 @@ fn parallel_sweep_is_byte_identical_to_sequential() {
 
 #[test]
 fn binary_search_agrees_with_exhaustive_scan_across_seeds() {
+    // Both searches, against the rebuilt reference: the default sweep
+    // runs the lane-batched search, `per_rate` the binary search this
+    // test is named for.
     let grid = [1u32, 4, 30];
-    let store = run_sweep(
-        &SweepPlan::builder()
-            .scenarios(SCENARIOS)
-            .jittered_variants(2)
-            .min_safe_fpr(grid.to_vec())
-            .build(),
-        4,
-    );
-    for result in store.results() {
-        let JobOutcome::MinSafeFpr(search) = &result.outcome else {
-            panic!("plan only contains MSF jobs");
-        };
-        let id = result
-            .job
-            .spec
-            .scenario
-            .catalog_id()
-            .expect("plan only uses catalog scenarios");
-        let expected = minimum_required_fpr(id, &grid, &[result.job.spec.seed]);
-        assert_eq!(
-            search.mrf, expected,
-            "{} seed {}: binary search disagrees with exhaustive scan",
-            result.job.spec.scenario, result.job.spec.seed
-        );
-        assert!(search.sims_run <= search.grid_size);
+    let plan = SweepPlan::builder()
+        .scenarios(SCENARIOS)
+        .jittered_variants(2)
+        .min_safe_fpr(grid.to_vec())
+        .build();
+    for options in [ExecOptions::default(), ExecOptions { per_rate: true }] {
+        for result in run_sweep_with(&plan, 4, options).results() {
+            let JobOutcome::MinSafeFpr(search) = &result.outcome else {
+                panic!("plan only contains MSF jobs");
+            };
+            let spec = &result.job.spec;
+            let id = spec.scenario.catalog_id().expect("catalog scenarios");
+            assert_eq!(
+                search.mrf,
+                rebuilt_msf(id, spec.seed, &grid),
+                "{} seed {} ({options:?}): search disagrees with exhaustive scan",
+                spec.scenario,
+                spec.seed
+            );
+            assert!(search.sims_run <= search.grid_size);
+        }
     }
 }
 
 #[test]
 fn metrics_only_sweep_matches_trace_recording_sweep() {
     // The streaming fast path is an optimization, not a different
-    // experiment: a metrics-only sweep must export the same CSV rows and
-    // JSON document, and answer every MsfSearch identically, as the same
-    // sweep forced down the classic full-trace path.
+    // experiment: every probe must report what a full recorded trace of
+    // the same run reports, and every search must answer as the rebuilt
+    // reference does.
     let plan = SweepPlan::builder()
         .scenarios(SCENARIOS)
         .jittered_variants(2)
         .probe(4.0, false)
         .min_safe_fpr(vec![1, 4, 30])
         .build();
-    let streaming = run_sweep_with(&plan, 2, ExecOptions::default());
-    let recorded = run_sweep_with(
-        &plan,
-        2,
-        ExecOptions {
-            record_traces: true,
-            ..ExecOptions::default()
-        },
-    );
-    assert_eq!(
-        streaming.to_csv(),
-        recorded.to_csv(),
-        "CSV rows diverged between streaming and trace-recording sweeps"
-    );
-    assert_eq!(
-        streaming.to_json(),
-        recorded.to_json(),
-        "JSON export diverged between streaming and trace-recording sweeps"
-    );
-    for (a, b) in streaming.results().iter().zip(recorded.results()) {
-        if let (JobOutcome::MinSafeFpr(fast), JobOutcome::MinSafeFpr(slow)) =
-            (&a.outcome, &b.outcome)
-        {
-            assert_eq!(fast, slow, "{}: MsfSearch diverged", a.job.id);
+    for result in run_sweep(&plan, 2).results() {
+        let spec = &result.job.spec;
+        let id = spec.scenario.catalog_id().expect("catalog scenarios");
+        match &result.outcome {
+            JobOutcome::Probe(probe) => {
+                let trace = Scenario::build(id, spec.seed).run_at(Fpr(4.0));
+                let collision = trace.collision();
+                let recorded = ProbeOutcome {
+                    collided: trace.collided(),
+                    collision_time: collision.map(|(t, _)| t),
+                    collision_actor: collision.map(|(_, a)| a),
+                    min_clearance: trace.min_clearance(),
+                    duration: trace.duration(),
+                    trace_csv: None,
+                };
+                assert_eq!(probe, &recorded, "{}: probe diverged", result.job.id);
+            }
+            JobOutcome::MinSafeFpr(search) => assert_eq!(
+                search.mrf,
+                rebuilt_msf(id, spec.seed, &[1, 4, 30]),
+                "{}: MsfSearch diverged",
+                result.job.id
+            ),
+            other => panic!("unexpected outcome {other:?}"),
         }
     }
 }
@@ -166,24 +186,23 @@ fn analyze_jobs_produce_conservative_estimates() {
 
 #[test]
 fn shared_context_search_matches_rebuild_per_candidate_across_catalog() {
-    // Sweep-level scene sharing: the streaming `min_safe_fpr` runs every
-    // candidate on one shared, reset-per-candidate simulation
-    // (`SweepContext`), while the trace-recording backend rebuilds the
-    // scenario from scratch for every candidate. Both must return the
-    // identical search result (answer *and* cost accounting) across the
-    // whole jittered catalog — any divergence means a reset leaked state
-    // between candidate runs.
-    use zhuyi_fleet::{min_safe_fpr, min_safe_fpr_with};
+    // Sweep-level scene sharing: `min_safe_fpr` runs every candidate on
+    // one shared, reset-per-candidate simulation (`SweepContext`), while
+    // the reference rebuilds the scenario from scratch for every
+    // candidate. Both must answer identically across the whole jittered
+    // catalog — any divergence means a reset leaked state between
+    // candidate runs.
+    use zhuyi_fleet::min_safe_fpr;
     let grid = [1u32, 4, 30];
     for id in ScenarioId::ALL {
         for seed in [0u64, 6] {
-            let scenario = av_scenarios::catalog::Scenario::build(id, seed);
-            let shared = min_safe_fpr(&scenario, &grid);
-            let rebuilt = min_safe_fpr_with(&scenario, &grid, true);
+            let shared = min_safe_fpr(&Scenario::build(id, seed), &grid);
             assert_eq!(
-                shared, rebuilt,
+                shared.mrf,
+                rebuilt_msf(id, seed, &grid),
                 "{id} seed {seed}: shared-context search diverged from per-candidate rebuild"
             );
+            assert!(shared.sims_run <= shared.grid_size);
         }
     }
 }

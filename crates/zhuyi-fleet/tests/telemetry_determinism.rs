@@ -83,10 +83,7 @@ fn deterministic_section_is_execution_path_independent() {
         )
     };
 
-    let reference = per_job(ExecOptions {
-        per_rate: true,
-        ..ExecOptions::default()
-    });
+    let reference = per_job(ExecOptions { per_rate: true });
     assert_eq!(reference.0, plan.len() as u64);
     assert_eq!(
         per_job(ExecOptions::default()),

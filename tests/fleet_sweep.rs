@@ -22,14 +22,7 @@ fn fleet_sweep_is_deterministic_and_matches_table1_shapes() {
         "worker count changed the merged results"
     );
     assert_eq!(sequential.to_json(), parallel.to_json());
-    let per_rate = run_sweep_with(
-        &plan,
-        2,
-        ExecOptions {
-            per_rate: true,
-            ..ExecOptions::default()
-        },
-    );
+    let per_rate = run_sweep_with(&plan, 2, ExecOptions { per_rate: true });
     assert_eq!(
         sequential.to_csv(),
         per_rate.to_csv(),

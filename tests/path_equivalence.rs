@@ -56,14 +56,7 @@ fn fuzzed_corpus_exports_identically_through_every_execution_path() {
         .min_safe_fpr(GRID.to_vec())
         .build();
 
-    let per_rate = run_sweep_with(
-        &plan,
-        2,
-        ExecOptions {
-            per_rate: true,
-            ..ExecOptions::default()
-        },
-    );
+    let per_rate = run_sweep_with(&plan, 2, ExecOptions { per_rate: true });
     let batched = run_sweep_with(&plan, 2, ExecOptions::default());
 
     assert_eq!(
