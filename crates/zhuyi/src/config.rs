@@ -136,7 +136,9 @@ pub struct ZhuyiConfig {
     pub max_inner_iterations: u32,
     /// Largest candidate latency (the search starts here), max(l).
     pub max_latency: Seconds,
-    /// Smallest candidate latency (the search stops here), min(l).
+    /// Smallest candidate latency, min(l): the search stops at the last
+    /// `latency_step` decrement not below it, which may lie above it (see
+    /// [`crate::SearchOutcome::Infeasible`]).
     pub min_latency: Seconds,
     /// Latency decrement δl between candidates.
     pub latency_step: Seconds,

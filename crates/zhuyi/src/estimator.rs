@@ -15,7 +15,7 @@
 //! paper's Eq. 3 δt_n acceleration capped at M iterations.
 
 use crate::config::{AlphaModel, ConfigError, SearchStrategy, ZhuyiConfig};
-use crate::future::{ActorFuture, RelativeState};
+use crate::future::{ActorFuture, RelativeState, SpanProof};
 use av_core::prelude::*;
 use serde::{Deserialize, Serialize};
 
@@ -52,8 +52,14 @@ pub enum SearchOutcome {
     Unconstrained,
     /// A tolerable latency within `[min_latency, max_latency]` was found.
     Tolerable,
-    /// Even `min_latency` fails: per the model no processing rate in range
-    /// avoids a collision (Fig. 8's white cells).
+    /// Every candidate latency the search tested fails: per the model no
+    /// processing rate on the grid avoids a collision (Fig. 8's white
+    /// cells). The candidates run from `max_latency` down in
+    /// `latency_step` decrements while they stay above
+    /// `min_latency − 1e-9`, so the last one tested can lie above
+    /// `min_latency`: at [`ZhuyiConfig::paper`] it is 43 ms, and 33 ms is
+    /// never tested. The estimate reports `min_latency` regardless;
+    /// [`crate::Explanation::smallest_tested`] names the last candidate.
     Infeasible,
 }
 
@@ -195,7 +201,11 @@ impl TolerableLatencyEstimator {
         let cfg = &self.config;
         let mut stats = SearchStats::default();
 
-        let scan = self.threat_scan(ego, future, &mut stats);
+        // No pre-reaction guard reads a gap at or past the reach: the first
+        // candidate, `max_latency`, reacts last (see `reaction_time`).
+        let (_, t_r) = self.reaction_time(cfg.max_latency, current_latency);
+        let reach = t_r.value().min(cfg.horizon.value());
+        let scan = self.threat_scan(ego, future, reach, &mut stats);
         if scan.intervals.is_empty() {
             let estimate = LatencyEstimate {
                 latency: cfg.max_latency,
@@ -205,9 +215,7 @@ impl TolerableLatencyEstimator {
             return (estimate, None);
         }
 
-        let mut latency = cfg.max_latency;
-        let eps = 1e-9;
-        while latency.value() >= cfg.min_latency.value() - eps {
+        for latency in candidate_latencies(cfg) {
             stats.latency_steps += 1;
             let solution =
                 self.try_latency(latency, ego, future, current_latency, &scan, &mut stats);
@@ -219,7 +227,6 @@ impl TolerableLatencyEstimator {
                 };
                 return (estimate, solution);
             }
-            latency -= cfg.latency_step;
         }
 
         let estimate = LatencyEstimate {
@@ -261,14 +268,20 @@ impl TolerableLatencyEstimator {
     /// obstacles).
     ///
     /// This is the only pass that queries the future at scan instants:
-    /// it records the gap at each one for the pre-reaction guard. An
-    /// instant the future proves quiet ([`ActorFuture::provably_quiet`])
-    /// is inactive without a query; it still counts as a constraint
-    /// evaluation, so the §4.2 compute basis does not depend on the proof.
+    /// it records the gap at each one before `reach` for the pre-reaction
+    /// guard, which reads no later instant. An instant the future proves
+    /// quiet ([`ActorFuture::prove_span`]) is inactive without a query.
+    /// One it proves active at or past `reach`, inside an interval that is
+    /// already open, is active without a query: no check reads its gap.
+    /// The instant that opens an interval is always queried, since the
+    /// frontal test reads its gap. A skipped instant still counts as a
+    /// constraint evaluation, so the §4.2 compute basis does not depend on
+    /// the proof.
     fn threat_scan(
         &self,
         ego: EgoKinematics,
         future: &dyn ActorFuture,
+        reach: f64,
         stats: &mut SearchStats,
     ) -> ThreatScan {
         let cfg = &self.config;
@@ -280,33 +293,34 @@ impl TolerableLatencyEstimator {
         let mut t = 0.0;
         while t <= end + 1e-12 {
             stats.constraint_evaluations += 1;
-            // The gap at an active instant; `None` when inactive.
-            let active = if future.provably_quiet(Seconds(t), cfg.horizon) {
-                None
-            } else {
-                let s = future.at(Seconds(t));
-                (s.in_corridor && s.gap.value() >= 0.0).then_some(s.gap.value())
-            };
-            match (active, open) {
-                (Some(gap), None) => {
-                    let (d_unreacted, _) = distance_speed_after(v_e0, ego.accel, Seconds(t));
-                    let frontal = gap >= d_unreacted.value() - 1e-9;
-                    open = Some((t, scan.gaps.len(), frontal));
-                }
-                (None, Some((start, first, frontal))) => {
-                    if frontal {
-                        scan.intervals.push(FrontalInterval {
-                            start,
-                            stop: t - dt,
-                            first,
-                        });
+            let guarded = t < reach - 1e-12; // the guard's own bound
+            let active = match future.prove_span(Seconds(t), cfg.horizon) {
+                SpanProof::Quiet => false,
+                SpanProof::Active if open.is_some() && !guarded => true,
+                _ => {
+                    let s = future.at(Seconds(t));
+                    let gap = s.gap.value();
+                    let active = s.in_corridor && gap >= 0.0;
+                    if active && open.is_none() {
+                        let (d_unreacted, _) = distance_speed_after(v_e0, ego.accel, Seconds(t));
+                        let frontal = gap >= d_unreacted.value() - 1e-9;
+                        open = Some((t, scan.gaps.len(), frontal));
                     }
-                    open = None;
+                    if active && guarded && matches!(open, Some((_, _, true))) {
+                        scan.gaps.push(gap);
+                    }
+                    active
                 }
-                _ => {}
-            }
-            if let (Some(gap), Some((_, _, true))) = (active, open) {
-                scan.gaps.push(gap);
+            };
+            if let (false, Some((start, first, frontal))) = (active, open) {
+                if frontal {
+                    scan.intervals.push(FrontalInterval {
+                        start,
+                        stop: t - dt,
+                        first,
+                    });
+                }
+                open = None;
             }
             t += dt;
         }
@@ -337,13 +351,7 @@ impl TolerableLatencyEstimator {
         let cfg = &self.config;
         let v_e0 = ego.speed.max(MetersPerSecond::ZERO);
         let a0 = ego.accel;
-        let alpha = match cfg.alpha {
-            AlphaModel::ExcessOverCurrent => {
-                Seconds((cfg.confirmation_frames as f64 * (l - l0).value()).max(0.0))
-            }
-            AlphaModel::FullLatency => Seconds(cfg.confirmation_frames as f64 * l.value()),
-        };
-        let t_r = l + alpha;
+        let (alpha, t_r) = self.reaction_time(l, l0);
 
         // Pre-reaction guard: while the ego has not yet reacted it travels
         // at unchanged acceleration; it must not out-run the available
@@ -456,6 +464,22 @@ impl TolerableLatencyEstimator {
         None
     }
 
+    /// The confirmation delay α and the reaction time t_r = l + α of
+    /// candidate latency `l` at current latency `l0`. Neither decreases as
+    /// `l` grows, under either [`AlphaModel`]: each is a product, a
+    /// difference, a clamp or a sum of `l` with fixed values, and each of
+    /// those rounds monotonically.
+    fn reaction_time(&self, l: Seconds, l0: Seconds) -> (Seconds, Seconds) {
+        let cfg = &self.config;
+        let alpha = match cfg.alpha {
+            AlphaModel::ExcessOverCurrent => {
+                Seconds((cfg.confirmation_frames as f64 * (l - l0).value()).max(0.0))
+            }
+            AlphaModel::FullLatency => Seconds(cfg.confirmation_frames as f64 * l.value()),
+        };
+        (alpha, l + alpha)
+    }
+
     /// Eq. 3: the δt_n update that lets the accelerated search jump toward
     /// the next critical time instead of stepping naively. `δt_v` is the
     /// braking time needed to shed the velocity excess; `δt_d` the time
@@ -500,8 +524,8 @@ impl TolerableLatencyEstimator {
 struct ThreatScan {
     /// The frontal-threat intervals, sorted and disjoint.
     intervals: Vec<FrontalInterval>,
-    /// The gap `s_n` at every scan instant inside a frontal interval, in
-    /// scan order.
+    /// The gap `s_n` at every scan instant inside a frontal interval and
+    /// before the reach, in scan order.
     gaps: Vec<f64>,
 }
 
@@ -515,6 +539,14 @@ struct FrontalInterval {
     stop: f64,
     /// Index of `start` in [`ThreatScan::gaps`].
     first: usize,
+}
+
+/// The candidate latencies of the outer loop, largest first: `max_latency`
+/// down in `latency_step` decrements while they stay above
+/// `min_latency − 1e-9`.
+pub(crate) fn candidate_latencies(cfg: &ZhuyiConfig) -> impl Iterator<Item = Seconds> + '_ {
+    std::iter::successors(Some(cfg.max_latency), |&l| Some(l - cfg.latency_step))
+        .take_while(|l| l.value() >= cfg.min_latency.value() - 1e-9)
 }
 
 /// First time ≥ `from` that lies inside one of the (sorted, disjoint)
@@ -771,10 +803,6 @@ mod tests {
         fn at(&self, tn: Seconds) -> RelativeState {
             self.calls.borrow_mut().push(tn.value());
             self.inner.at(tn)
-        }
-
-        fn horizon(&self) -> Seconds {
-            self.inner.horizon()
         }
     }
 

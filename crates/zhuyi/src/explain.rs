@@ -7,7 +7,8 @@
 //! instant — so a reviewer can recompute Eqs. 1 and 2 by hand.
 
 use crate::estimator::{
-    EgoKinematics, InnerSolution, LatencyEstimate, SearchOutcome, TolerableLatencyEstimator,
+    candidate_latencies, EgoKinematics, InnerSolution, LatencyEstimate, SearchOutcome,
+    TolerableLatencyEstimator,
 };
 use crate::future::ActorFuture;
 use av_core::prelude::*;
@@ -24,6 +25,11 @@ pub struct Explanation {
     /// actors, where no maneuver is needed, and infeasible ones, where
     /// none exists).
     pub solution: Option<InnerSolution>,
+    /// For a [`SearchOutcome::Infeasible`] result, the smallest candidate
+    /// latency the search tested, which failed like every larger one. The
+    /// estimate reports `min_latency`, which the grid can step past
+    /// untested.
+    pub smallest_tested: Option<Seconds>,
 }
 
 impl fmt::Display for Explanation {
@@ -36,13 +42,22 @@ impl fmt::Display for Explanation {
                 self.estimate.latency,
                 self.estimate.fpr()
             ),
-            SearchOutcome::Infeasible => write!(
-                f,
-                "infeasible: no latency in range avoids the collision; even {} \
-                 ({}) fails Eq. 1/2",
-                self.estimate.latency,
-                self.estimate.fpr()
-            ),
+            SearchOutcome::Infeasible => {
+                write!(f, "infeasible: no candidate latency avoids the collision")?;
+                if let Some(l) = self.smallest_tested {
+                    write!(
+                        f,
+                        "; even the smallest tested, {l} ({}), fails",
+                        Fpr::from_latency(l)
+                    )?;
+                }
+                write!(
+                    f,
+                    " -> reported as {} ({})",
+                    self.estimate.latency,
+                    self.estimate.fpr()
+                )
+            }
             SearchOutcome::Tolerable => {
                 write!(
                     f,
@@ -78,7 +93,9 @@ impl TolerableLatencyEstimator {
     /// returns the verified inner solution for tolerable outcomes.
     ///
     /// Runs the same single search and keeps the solution that accepted
-    /// the latency, so it costs no more than the plain estimate.
+    /// the latency, so it costs no more than the plain estimate. An
+    /// infeasible result also replays the candidate grid to name the last
+    /// latency tested.
     ///
     /// ```
     /// use av_core::prelude::*;
@@ -104,7 +121,14 @@ impl TolerableLatencyEstimator {
         current_latency: Seconds,
     ) -> Explanation {
         let (estimate, solution) = self.search(ego, future, current_latency);
-        Explanation { estimate, solution }
+        let smallest_tested = (estimate.outcome == SearchOutcome::Infeasible)
+            .then(|| candidate_latencies(self.config()).last())
+            .flatten();
+        Explanation {
+            estimate,
+            solution,
+            smallest_tested,
+        }
     }
 }
 
@@ -179,6 +203,26 @@ mod tests {
         assert_eq!(un.estimate.outcome, SearchOutcome::Unconstrained);
         assert!(un.solution.is_none());
         assert!(un.to_string().contains("unconstrained"));
+    }
+
+    #[test]
+    fn infeasible_names_the_last_candidate_tested() {
+        let e = estimator();
+        let exp = e.explain(ego(30.0), &StationaryActor::new(Meters(5.0)), L0);
+        assert_eq!(exp.estimate.outcome, SearchOutcome::Infeasible);
+        assert_eq!(exp.estimate.stats.latency_steps, e.config().latency_steps());
+        assert_eq!(exp.estimate.stats.latency_steps, 30);
+        // 1 s − 29 × 33 ms: the next step, 10 ms, lies below min_latency.
+        let last = exp
+            .smallest_tested
+            .expect("infeasible names its last candidate");
+        assert!((last.value() - 0.043).abs() < 1e-12, "{last:?}");
+        assert_eq!(exp.estimate.latency, e.config().min_latency);
+        let text = exp.to_string();
+        assert!(text.contains("smallest tested, 0.043 s"), "{text}");
+
+        let tolerable = e.explain(ego(20.0), &StationaryActor::new(Meters(60.0)), L0);
+        assert_eq!(tolerable.smallest_tested, None);
     }
 
     #[test]

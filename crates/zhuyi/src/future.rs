@@ -33,6 +33,19 @@ pub struct RelativeState {
     pub in_corridor: bool,
 }
 
+/// What an [`ActorFuture`] proves about the span of its future that
+/// contains one instant. An instant is *active* when [`ActorFuture::at`]
+/// puts the actor in the corridor at a gap ≥ 0.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SpanProof {
+    /// Nothing: the caller must query the instant.
+    Unproven,
+    /// No instant of the span is active.
+    Quiet,
+    /// Every instant of the span is active.
+    Active,
+}
+
 /// One predicted future of one actor, as seen from the ego at t₀.
 ///
 /// Times are relative: `at(Seconds(0.5))` is the state half a second after
@@ -41,26 +54,20 @@ pub trait ActorFuture {
     /// The actor's relative state at future offset `tn ≥ 0`.
     fn at(&self, tn: Seconds) -> RelativeState;
 
-    /// How far this future extends. Queries beyond it are permitted and
-    /// should extrapolate sensibly; the estimator will not look past the
-    /// configured horizon anyway.
-    fn horizon(&self) -> Seconds;
-
     /// Probability mass of this future within the actor's prediction set
     /// `T` (Eq. 4). Defaults to certainty.
     fn probability(&self) -> f64 {
         1.0
     }
 
-    /// Whether the actor is provably quiet at `tn`: never in the corridor
-    /// at a non-negative gap anywhere on the span of this future that
-    /// contains `tn`. A span may be a single instant. `true` promises that
-    /// `at(tn)` is no threat, so a caller may skip that query; `false`
-    /// promises nothing. `horizon` is the caller's last instant and bounds
-    /// a span that would otherwise run on forever. The default proves
-    /// nothing.
-    fn provably_quiet(&self, _tn: Seconds, _horizon: Seconds) -> bool {
-        false
+    /// What this future proves about the span that contains `tn`. A span
+    /// may be a single instant. [`SpanProof::Quiet`] promises that `at(tn)`
+    /// is inactive and [`SpanProof::Active`] that it is active, so a caller
+    /// that needs only that bit may skip the query. `horizon` is the
+    /// caller's last instant and bounds a span that would otherwise run on
+    /// forever. The default proves nothing.
+    fn prove_span(&self, _tn: Seconds, _horizon: Seconds) -> SpanProof {
+        SpanProof::Unproven
     }
 }
 
@@ -98,10 +105,6 @@ impl ActorFuture for StationaryActor {
             in_corridor: true,
         }
     }
-
-    fn horizon(&self) -> Seconds {
-        Seconds(f64::INFINITY)
-    }
 }
 
 /// The synthetic actor of the paper's Fig. 8 sensitivity sweep: the
@@ -128,10 +131,6 @@ impl ActorFuture for FixedGapActor {
             speed_along: self.speed,
             in_corridor: true,
         }
-    }
-
-    fn horizon(&self) -> Seconds {
-        Seconds(f64::INFINITY)
     }
 }
 
@@ -176,10 +175,6 @@ impl ActorFuture for ConstantAccelActor {
             in_corridor: self.in_corridor,
         }
     }
-
-    fn horizon(&self) -> Seconds {
-        Seconds(f64::INFINITY)
-    }
 }
 
 /// Geometry linking a recorded/predicted [`Trajectory`] to the ego's path:
@@ -198,7 +193,7 @@ impl ActorFuture for ConstantAccelActor {
 /// next to the answer. Both only save work; every answer is bit-identical
 /// to an un-hinted projection of a searched sample.
 ///
-/// # Quiet spans
+/// # Span proofs
 ///
 /// On a straight path the Frenet chart is affine: the single segment
 /// extrapolates at both ends, so arc length `s` and lateral offset `d` are
@@ -207,18 +202,30 @@ impl ActorFuture for ConstantAccelActor {
 /// first sample, a lerp between samples, a constant-velocity ray after the
 /// last (bounded here at the caller's horizon). So the gap and the lateral
 /// offset are affine on each piece, and lie between their values at the
-/// piece's two ends. When both ends lie past the same corridor edge, or
-/// both behind the ego, by a rounding margin (`QUIET_MARGIN`, 1e-6 m),
-/// every instant of the piece is inactive and
-/// [`ActorFuture::provably_quiet`] says so. The scan visits
-/// pieces in order, so only the current piece's verdict is kept.
+/// piece's two ends; the offset's distance from the ego's is convex, so it
+/// lies below its larger end value. [`ActorFuture::prove_span`] decides a
+/// piece from its two ends, with a rounding margin (`QUIET_MARGIN`,
+/// 1e-6 m) on every comparison:
+///
+/// - [`SpanProof::Quiet`] when both ends lie past the same corridor edge,
+///   or both behind the ego, by the margin: every instant is inactive;
+/// - [`SpanProof::Active`] when both ends lie ahead of the ego by more
+///   than the margin and inside the corridor by at least the margin:
+///   every instant is active.
+///
+/// The argument and the rounding budget of `QUIET_MARGIN` are the same
+/// for both verdicts: each compares two end values and one instant's
+/// value against one threshold. The scan visits pieces in order, so only
+/// the current piece's verdict is kept.
 ///
 /// On any other path each instant is decided alone: the span is the
-/// instant itself. [`Path::lateral_bounds`] bounds the lateral offset
-/// that [`ActorFuture::at`] would compute for the sampled position (it
-/// answers on arcs), and an interval past one corridor edge by
-/// `QUIET_MARGIN` proves the instant quiet. Rounding is monotone, so the
-/// offset relative to the ego lies past that edge too.
+/// instant itself, and it is quiet or unproven, never active.
+/// [`Path::lateral_bounds`] bounds the lateral offset that
+/// [`ActorFuture::at`] would compute for the sampled position (it answers
+/// on arcs), and an interval past one corridor edge by `QUIET_MARGIN`
+/// proves the instant quiet. Rounding is monotone, so the offset relative
+/// to the ego lies past that edge too. An interval inside the corridor
+/// would prove nothing active: it bounds `d`, not the gap.
 #[derive(Debug, Clone)]
 pub struct TrajectoryFuture<'a> {
     path: &'a Path,
@@ -227,8 +234,8 @@ pub struct TrajectoryFuture<'a> {
     hint: Cell<ProjectionHint>,
     /// The last query's trajectory segment, seeding the next sample.
     cursor: Cell<TrajectoryCursor>,
-    /// The last quiet-span verdict.
-    quiet: Cell<Option<QuietVerdict>>,
+    /// The last piece's verdict.
+    proof: Cell<Option<PieceProof>>,
     /// Whether the per-piece proof applies: a straight path, with the
     /// path and the ego inside `QUIET_RANGE`. Otherwise instants are
     /// decided one by one.
@@ -271,7 +278,7 @@ impl<'a> TrajectoryFuture<'a> {
             trajectory,
             hint: Cell::default(),
             cursor: Cell::default(),
-            quiet: Cell::default(),
+            proof: Cell::default(),
             affine_chart,
             t0,
             ego_s0: ego_frenet.s,
@@ -283,22 +290,30 @@ impl<'a> TrajectoryFuture<'a> {
         }
     }
 
-    /// Whether the actor is inactive everywhere on the segment from world
-    /// point `a` to world point `b`: both ends past the same corridor
-    /// edge, or both behind the ego, by `QUIET_MARGIN`. Sound only on an
-    /// affine chart (see the type docs).
-    fn segment_is_quiet(&self, a: Vec2, b: Vec2) -> bool {
+    /// What the ends of the segment from world point `a` to world point
+    /// `b` prove about every point on it (see the type docs). Sound only
+    /// on an affine chart.
+    fn prove_segment(&self, a: Vec2, b: Vec2) -> SpanProof {
         if !(within_quiet_range(a) && within_quiet_range(b)) {
-            return false;
+            return SpanProof::Unproven;
         }
         let (fa, fb) = (self.path.project(a), self.path.project(b));
         let gap = |f: FrenetPose| (f.s - self.ego_s0 - self.length_allowance).value();
         let lateral = |f: FrenetPose| (f.d - self.ego_d0).value();
-        let edge = self.corridor_half_width.value() + QUIET_MARGIN;
+        let (ga, gb) = (gap(fa), gap(fb));
         let (da, db) = (lateral(fa), lateral(fb));
-        (gap(fa) < -QUIET_MARGIN && gap(fb) < -QUIET_MARGIN)
+        let edge = self.corridor_half_width.value() + QUIET_MARGIN;
+        let inner = self.corridor_half_width.value() - QUIET_MARGIN;
+        if (ga < -QUIET_MARGIN && gb < -QUIET_MARGIN)
             || (da > edge && db > edge)
             || (da < -edge && db < -edge)
+        {
+            SpanProof::Quiet
+        } else if ga > QUIET_MARGIN && gb > QUIET_MARGIN && da.abs() <= inner && db.abs() <= inner {
+            SpanProof::Active
+        } else {
+            SpanProof::Unproven
+        }
     }
 
     /// Whether the actor is outside the corridor at `tn` alone: the
@@ -319,14 +334,15 @@ impl<'a> TrajectoryFuture<'a> {
 }
 
 /// How far past a corridor edge, or behind the ego, both ends of a span
-/// must lie before the span counts as quiet. It absorbs rounding: on an
-/// affine chart the exact gap and offset at any instant lie between their
-/// exact values at the ends, and every computed value differs from its
-/// exact one only by rounding. Inside `QUIET_RANGE` every length in a
-/// sample and its projection stays below 2²² m, where one rounding costs
-/// at most 2⁻³¹ m ≈ 4.7e-10 m. A sample plus its projection takes about
-/// 20 roundings, each moving the result by a small multiple of that once
-/// propagated, so one query errs by well under 1e-7 m, and the three
+/// must lie before the span counts as quiet, and how far inside the
+/// corridor and ahead of the ego before it counts as active. It absorbs
+/// rounding: on an affine chart the exact gap and offset at any instant lie
+/// between their exact values at the ends, and every computed value differs
+/// from its exact one only by rounding. Inside `QUIET_RANGE` every length
+/// in a sample and its projection stays below 2²² m, where one rounding
+/// costs at most 2⁻³¹ m ≈ 4.7e-10 m. A sample plus its projection takes
+/// about 20 roundings, each moving the result by a small multiple of that
+/// once propagated, so one query errs by well under 1e-7 m, and the three
 /// values the argument compares (two ends, one instant) together by under
 /// 3e-7 m: inside the margin.
 const QUIET_MARGIN: f64 = 1e-6;
@@ -339,13 +355,13 @@ fn within_quiet_range(p: Vec2) -> bool {
     p.x.abs() <= QUIET_RANGE && p.y.abs() <= QUIET_RANGE
 }
 
-/// The quiet-span verdict of one trajectory piece, for one horizon (which
-/// bounds the tail).
+/// The verdict on one trajectory piece, for one horizon (which bounds the
+/// tail).
 #[derive(Debug, Clone, Copy)]
-struct QuietVerdict {
+struct PieceProof {
     piece: Piece,
     end: f64,
-    quiet: bool,
+    proof: SpanProof,
 }
 
 impl ActorFuture for TrajectoryFuture<'_> {
@@ -367,17 +383,17 @@ impl ActorFuture for TrajectoryFuture<'_> {
         }
     }
 
-    fn horizon(&self) -> Seconds {
-        Seconds((self.trajectory.end_time() - self.t0).value().max(0.0))
-    }
-
     fn probability(&self) -> f64 {
         self.trajectory.probability()
     }
 
-    fn provably_quiet(&self, tn: Seconds, horizon: Seconds) -> bool {
+    fn prove_span(&self, tn: Seconds, horizon: Seconds) -> SpanProof {
         if !self.affine_chart {
-            return self.instant_is_quiet(tn);
+            return if self.instant_is_quiet(tn) {
+                SpanProof::Quiet
+            } else {
+                SpanProof::Unproven
+            };
         }
         // The same absolute time, and so the same piece, that `at` samples.
         let t = self.t0 + tn;
@@ -387,11 +403,11 @@ impl ActorFuture for TrajectoryFuture<'_> {
         self.cursor.set(cursor);
         let within_horizon = t.value() <= end; // false for a NaN horizon too
         if piece == Piece::Tail && !within_horizon {
-            return false; // past the bounded ray
+            return SpanProof::Unproven; // past the bounded ray
         }
-        if let Some(v) = self.quiet.get() {
+        if let Some(v) = self.proof.get() {
             if v.piece == piece && v.end.to_bits() == end.to_bits() {
-                return v.quiet;
+                return v.proof;
             }
         }
         let points = self.trajectory.points();
@@ -403,9 +419,9 @@ impl ActorFuture for TrajectoryFuture<'_> {
                 self.trajectory.sample(Seconds(end)).position,
             ),
         };
-        let quiet = self.segment_is_quiet(a, b);
-        self.quiet.set(Some(QuietVerdict { piece, end, quiet }));
-        quiet
+        let proof = self.prove_segment(a, b);
+        self.proof.set(Some(PieceProof { piece, end, proof }));
+        proof
     }
 }
 
@@ -586,19 +602,5 @@ mod tests {
             let tn = Seconds(t);
             assert_eq!(bits(hinted.at(tn)), bits(make().at(tn)), "t = {t}");
         }
-    }
-
-    #[test]
-    fn trajectory_future_horizon_is_relative() {
-        let f = TrajectoryFuture::new(
-            straight_path(),
-            &ego_at(0.0),
-            Dimensions::CAR,
-            Dimensions::CAR,
-            traj(50.0, 0.0, 10.0, 30), // ends at t = 2.9s absolute
-            Seconds(1.0),
-            Meters(0.3),
-        );
-        assert!((f.horizon().value() - 1.9).abs() < 1e-9);
     }
 }

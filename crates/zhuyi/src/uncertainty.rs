@@ -93,6 +93,8 @@ impl<F: ActorFuture> UncertainFuture<F> {
     }
 }
 
+/// Proves no span, so every instant is queried: a shifted gap or a forced
+/// corridor overlap can make either verdict of the inner future false.
 impl<F: ActorFuture> ActorFuture for UncertainFuture<F> {
     fn at(&self, tn: Seconds) -> RelativeState {
         let s = self.inner.at(tn);
@@ -104,10 +106,6 @@ impl<F: ActorFuture> ActorFuture for UncertainFuture<F> {
             // nonzero lateral bound forces membership.
             in_corridor: s.in_corridor || self.bounds.lateral.value() > 0.0,
         }
-    }
-
-    fn horizon(&self) -> Seconds {
-        self.inner.horizon()
     }
 
     fn probability(&self) -> f64 {
@@ -194,9 +192,6 @@ struct ForwardFuture<'a>(&'a dyn ActorFuture);
 impl ActorFuture for ForwardFuture<'_> {
     fn at(&self, tn: Seconds) -> RelativeState {
         self.0.at(tn)
-    }
-    fn horizon(&self) -> Seconds {
-        self.0.horizon()
     }
     fn probability(&self) -> f64 {
         self.0.probability()

@@ -1,18 +1,23 @@
-//! The threat scan skips instants a `TrajectoryFuture` proves quiet. That
-//! skip must be invisible: every estimate, explanation and `SearchStats`
-//! equals the one computed through a wrapper that exposes only `at` (and so
-//! proves nothing). The straight-road cases put span ends where a wrong
+//! The threat scan skips instants a `TrajectoryFuture` proves quiet, and
+//! instants it proves active once no pre-reaction guard can read their
+//! gap. Those skips must be invisible: every estimate, explanation and
+//! `SearchStats` equals the one computed through a wrapper that exposes
+//! only `at` (and so proves nothing), and every verdict agrees with `at`
+//! at its instant. The straight-road cases put span ends where a wrong
 //! proof would change the answer: on opposite sides of the corridor, one
-//! behind and one ahead of the ego, and within 1e-9 m of an edge. On arcs
-//! each instant is decided alone from the circle; the arc cases put
-//! actors in the other lanes, off the curve, past the arc's end, and
-//! where the extended end segment rather than the circle is nearest.
+//! behind and one ahead of the ego, and within 1e-9 m of an edge, before
+//! and past the guard's reach; they open intervals past the reach, frontal
+//! and not, and vary the reach with the α model and the horizon. On arcs
+//! each instant is decided alone from the circle and never proved active;
+//! the arc cases put actors in the other lanes, off the curve, past the
+//! arc's end, and where the extended end segment rather than the circle is
+//! nearest.
 
 use av_core::prelude::*;
 use av_core::trajectory::TrajectoryPoint;
-use std::cell::Cell;
-use zhuyi::future::{ActorFuture, RelativeState, TrajectoryFuture};
-use zhuyi::{EgoKinematics, SearchOutcome, TolerableLatencyEstimator, ZhuyiConfig};
+use std::cell::{Cell, RefCell};
+use zhuyi::future::{ActorFuture, RelativeState, SpanProof, TrajectoryFuture};
+use zhuyi::{AlphaModel, EgoKinematics, SearchOutcome, TolerableLatencyEstimator, ZhuyiConfig};
 
 const L0: Seconds = Seconds(1.0 / 30.0);
 
@@ -26,36 +31,92 @@ impl ActorFuture for AtOnly<'_> {
     fn at(&self, tn: Seconds) -> RelativeState {
         self.0.at(tn)
     }
-
-    fn horizon(&self) -> Seconds {
-        self.0.horizon()
-    }
 }
 
-/// Forwards everything and counts the instants proved quiet.
+/// The instants one scan skipped.
+#[derive(Debug, Default)]
+struct Skips {
+    /// Proved quiet.
+    quiet: u64,
+    /// Proved active and never queried, in scan order.
+    active: Vec<f64>,
+}
+
+/// Forwards everything, records what the scan skipped, and checks every
+/// verdict against `at` at its instant.
 struct Counting<'a> {
     inner: TrajectoryFuture<'a>,
-    quiet: Cell<u64>,
+    /// A copy that answers the checks, leaving `inner`'s hint and cursor
+    /// where the scan left them.
+    oracle: TrajectoryFuture<'a>,
+    skips: RefCell<Skips>,
+    /// The instant of the last active verdict, until `at` queries it.
+    pending: Cell<Option<f64>>,
+}
+
+impl<'a> Counting<'a> {
+    fn new(future: &TrajectoryFuture<'a>) -> Self {
+        Self {
+            inner: future.clone(),
+            oracle: future.clone(),
+            skips: RefCell::default(),
+            pending: Cell::new(None),
+        }
+    }
+
+    /// Files the pending active instant as skipped: the scan moved on
+    /// without querying it.
+    fn settle(&self) {
+        if let Some(t) = self.pending.take() {
+            self.skips.borrow_mut().active.push(t);
+        }
+    }
 }
 
 impl ActorFuture for Counting<'_> {
     fn at(&self, tn: Seconds) -> RelativeState {
+        if self.pending.get() == Some(tn.value()) {
+            self.pending.set(None);
+        }
         self.inner.at(tn)
     }
 
-    fn horizon(&self) -> Seconds {
-        self.inner.horizon()
-    }
-
-    fn provably_quiet(&self, tn: Seconds, horizon: Seconds) -> bool {
-        let quiet = self.inner.provably_quiet(tn, horizon);
-        self.quiet.set(self.quiet.get() + u64::from(quiet));
-        quiet
+    fn prove_span(&self, tn: Seconds, horizon: Seconds) -> SpanProof {
+        self.settle();
+        let proof = self.inner.prove_span(tn, horizon);
+        if proof != SpanProof::Unproven {
+            let s = self.oracle.at(tn);
+            let active = s.in_corridor && s.gap.value() >= 0.0;
+            assert_eq!(
+                active,
+                proof == SpanProof::Active,
+                "{proof:?} at t = {}, but `at` returns {s:?}",
+                tn.value()
+            );
+        }
+        match proof {
+            SpanProof::Quiet => self.skips.borrow_mut().quiet += 1,
+            SpanProof::Active => self.pending.set(Some(tn.value())),
+            SpanProof::Unproven => {}
+        }
+        proof
     }
 }
 
 fn estimator() -> TolerableLatencyEstimator {
     TolerableLatencyEstimator::new(ZhuyiConfig::paper()).expect("paper config valid")
+}
+
+/// The first instant no pre-reaction guard reads: the reaction time of
+/// `max_latency`, capped at the horizon. Written out here, apart from the
+/// estimator's own.
+fn reach(cfg: &ZhuyiConfig, l0: Seconds) -> f64 {
+    let (l, k) = (cfg.max_latency.value(), f64::from(cfg.confirmation_frames));
+    let alpha = match cfg.alpha {
+        AlphaModel::ExcessOverCurrent => (k * (l - l0.value())).max(0.0),
+        AlphaModel::FullLatency => k * l,
+    };
+    (l + alpha).min(cfg.horizon.value())
 }
 
 fn road() -> Path {
@@ -88,6 +149,18 @@ fn trajectory(path: &Path, samples: &[(f64, f64, f64, f64, f64)]) -> Trajectory 
     Trajectory::new(points, 1.0).expect("valid trajectory")
 }
 
+/// Samples every 0.1 s over the 12 s horizon of `(s, d)` moving at
+/// `(vs, vd)` in the Frenet frame of `path`, heading along the road.
+fn frenet_line(path: &Path, s0: f64, d0: f64, vs: f64, vd: f64) -> Trajectory {
+    let samples: Vec<_> = (0..=120)
+        .map(|k| {
+            let t = 0.1 * f64::from(k);
+            (t, s0 + vs * t, d0 + vd * t, 0.0, vs)
+        })
+        .collect();
+    trajectory(path, &samples)
+}
+
 fn future<'a>(
     path: &'a Path,
     ego: &VehicleState,
@@ -105,32 +178,43 @@ fn future<'a>(
     )
 }
 
+/// [`check_with`] at the paper's config and l₀ = 1/30 s.
+fn check(case: &str, future: &TrajectoryFuture<'_>, ego: &VehicleState) -> (Skips, SearchOutcome) {
+    check_with(case, &estimator(), L0, future, ego)
+}
+
 /// Runs `tolerable_latency` and `explain` through the skipping future and
 /// through the `at`-only reference, asserts they agree bit for bit (the
-/// `Debug` form prints every f64 exactly, so it separates any two values),
-/// and returns the number of instants the explain scan skipped and its
-/// outcome.
-fn check(case: &str, future: &TrajectoryFuture<'_>, ego: &VehicleState) -> (u64, SearchOutcome) {
-    let e = estimator();
+/// `Debug` form prints every f64 exactly, so it separates any two values)
+/// and that no instant before the reach was skipped as active, and
+/// returns what the explain scan skipped and its outcome.
+fn check_with(
+    case: &str,
+    e: &TolerableLatencyEstimator,
+    l0: Seconds,
+    future: &TrajectoryFuture<'_>,
+    ego: &VehicleState,
+) -> (Skips, SearchOutcome) {
     let kin = EgoKinematics::from_state(ego);
-    let skipping = Counting {
-        inner: future.clone(),
-        quiet: Cell::new(0),
-    };
+    let skipping = Counting::new(future);
     let reference = AtOnly(future.clone());
-    let explained = e.explain(kin, &skipping, L0);
-    let skipped = skipping.quiet.get();
+    let explained = e.explain(kin, &skipping, l0);
+    skipping.settle();
+    let skips = skipping.skips.take();
     assert_eq!(
         format!("{explained:?}"),
-        format!("{:?}", e.explain(kin, &reference, L0)),
+        format!("{:?}", e.explain(kin, &reference, l0)),
         "{case}: explain differs from the at-only scan"
     );
     assert_eq!(
-        format!("{:?}", e.tolerable_latency(kin, &skipping, L0)),
-        format!("{:?}", e.tolerable_latency(kin, &reference, L0)),
+        format!("{:?}", e.tolerable_latency(kin, &skipping, l0)),
+        format!("{:?}", e.tolerable_latency(kin, &reference, l0)),
         "{case}: tolerable_latency differs from the at-only scan"
     );
-    (skipped, explained.estimate.outcome)
+    let r = reach(e.config(), l0);
+    let early = skips.active.iter().find(|&&t| t < r - 1e-12);
+    assert_eq!(early, None, "{case}: skipped before the reach {r}");
+    (skips, explained.estimate.outcome)
 }
 
 #[test]
@@ -149,7 +233,7 @@ fn opposite_sides_in_a_sampled_segment_are_scanned() {
             (3.0, 40.0, -6.0, 0.0, 0.0),
         ],
     );
-    let (skipped, outcome) = check(
+    let (Skips { quiet: skipped, .. }, outcome) = check(
         "segment crossing",
         &future(&path, &ego, crossing, 0.0),
         &ego,
@@ -177,7 +261,7 @@ fn opposite_sides_in_the_constant_velocity_tail_are_scanned() {
         })
         .collect();
     let f = future(&path, &ego, trajectory(&path, &samples), 0.0);
-    let (skipped, outcome) = check("tail crossing", &f, &ego);
+    let (Skips { quiet: skipped, .. }, outcome) = check("tail crossing", &f, &ego);
     assert!(skipped >= 200, "the sampled spans were skipped ({skipped})");
     assert_ne!(
         outcome,
@@ -189,10 +273,12 @@ fn opposite_sides_in_the_constant_velocity_tail_are_scanned() {
     let horizon = Seconds(1.0);
     let left = trajectory(&path, &[(0.0, 45.0, 8.0, 0.0, 10.0)]);
     let f = future(&path, &ego, left, 0.0);
-    assert!(f.provably_quiet(Seconds(0.5), horizon));
-    assert!(f.provably_quiet(horizon, horizon));
-    assert!(!f.provably_quiet(Seconds(1.0 + 1e-9), horizon));
-    assert!(f.provably_quiet(Seconds(1.0 + 1e-9), Seconds(2.0)));
+    let quiet = SpanProof::Quiet;
+    assert_eq!(f.prove_span(Seconds(0.5), horizon), quiet);
+    assert_eq!(f.prove_span(horizon, horizon), quiet);
+    let past = f.prove_span(Seconds(1.0 + 1e-9), horizon);
+    assert_eq!(past, SpanProof::Unproven);
+    assert_eq!(f.prove_span(Seconds(1.0 + 1e-9), Seconds(2.0)), quiet);
 }
 
 #[test]
@@ -247,7 +333,8 @@ fn an_actor_passing_a_stopped_ego_within_one_span_is_scanned() {
             (2.0, 90.0, 0.0, std::f64::consts::PI, 20.0),
         ],
     );
-    let (skipped, outcome) = check("stopped ego", &future(&path, &ego, pass, 0.0), &ego);
+    let (Skips { quiet: skipped, .. }, outcome) =
+        check("stopped ego", &future(&path, &ego, pass, 0.0), &ego);
     assert!(skipped > 900, "the receding tail was skipped ({skipped})");
     assert_ne!(
         outcome,
@@ -269,7 +356,8 @@ fn coordinates_near_ten_kilometres_agree() {
             (6.0, 1_045.0, -7.0, 0.0, 0.0),
         ],
     );
-    let (skipped, outcome) = check("far crossing", &future(&path, &ego, crossing, 3.0), &ego);
+    let (Skips { quiet: skipped, .. }, outcome) =
+        check("far crossing", &future(&path, &ego, crossing, 3.0), &ego);
     assert!(skipped > 1000, "far quiet spans were skipped ({skipped})");
     assert_ne!(outcome, SearchOutcome::Unconstrained);
     let stopped = ego_on(&path, 1_000.0, 0.0, 0.0, 0.0);
@@ -281,9 +369,197 @@ fn coordinates_near_ten_kilometres_agree() {
             (2.0, 990.0, 0.2, std::f64::consts::PI, 20.0),
         ],
     );
-    let (skipped, outcome) = check("far pass", &future(&path, &stopped, pass, 0.0), &stopped);
+    let (Skips { quiet: skipped, .. }, outcome) =
+        check("far pass", &future(&path, &stopped, pass, 0.0), &stopped);
     assert!(skipped > 900, "far receding tail was skipped ({skipped})");
     assert_ne!(outcome, SearchOutcome::Unconstrained);
+}
+
+#[test]
+fn a_lead_held_in_lane_is_skipped_past_the_reach_only() {
+    let path = road();
+    let ego = ego_on(&path, 0.0, 0.0, 20.0, 0.0);
+    let r = reach(&ZhuyiConfig::paper(), L0);
+    assert!((r - (1.0 + 5.0 * (1.0 - 1.0 / 30.0))).abs() < 1e-12, "{r}");
+    for (case, lead) in [
+        ("0.1 s rollout", frenet_line(&path, 60.0, 0.3, 18.0, 0.0)),
+        (
+            "one sample, then the tail",
+            trajectory(&path, &[(0.0, 60.0, 0.3, 0.0, 18.0)]),
+        ),
+    ] {
+        let (skips, outcome) = check(case, &future(&path, &ego, lead, 0.0), &ego);
+        assert_eq!(skips.quiet, 0, "{case}");
+        // 617 of the 1,201 scan instants lie at or past 5.83 s.
+        assert!(skips.active.len() > 600, "{case}: {}", skips.active.len());
+        assert_ne!(outcome, SearchOutcome::Unconstrained, "{case}");
+    }
+}
+
+#[test]
+fn ends_within_a_nanometre_of_an_edge_past_the_reach_agree() {
+    // Rotated and far from the origin, so every projection rounds (by
+    // about 1e-12 m here). The offsets run from 1e-9 m inside an edge to
+    // 1e-9 m outside it, in 0.2 pm steps near the edge, so rounding puts
+    // piece ends on both sides of it and instants between them on both.
+    let path = Path::straight(Vec2::new(9_000.0, -9_500.0), Radians(0.3), Meters(2000.0));
+    let offsets: Vec<f64> = (-10..=10)
+        .map(|k| f64::from(k) * 2e-13)
+        .chain([-1e-9, 1e-9])
+        .collect();
+    let mut cases = 0;
+    // Lateral edges: a lead in lane at t0, then at an edge from 6 s on, in
+    // 1 s pieces.
+    let ego = ego_on(&path, 1_000.0, 0.0, 10.0, 0.0);
+    for side in [1.0, -1.0] {
+        for &off in &offsets {
+            let d = side * (EDGE + off);
+            let mut samples = vec![(0.0, 1_080.0, 0.0, 0.0, 10.0)];
+            samples.extend((6..=12).map(|k| {
+                let t = f64::from(k);
+                (t, 1_080.0 + 10.0 * t, d, 0.0, 10.0)
+            }));
+            let f = future(&path, &ego, trajectory(&path, &samples), 0.0);
+            check("lateral edge past the reach", &f, &ego);
+            cases += 1;
+        }
+    }
+    // The rear edge: gap = s − 1004.5 for a stopped ego at s = 1000. The
+    // actor is 30 m ahead at t0; from 6 s on it slides across the lane at
+    // s = 1004.5 + off, its gap within 1e-9 m of zero.
+    let stopped = ego_on(&path, 1_000.0, 0.0, 0.0, 0.0);
+    for &off in &offsets {
+        let mut samples = vec![(0.0, 1_034.5, 0.0, 0.0, 0.0)];
+        samples.extend((6..=12).map(|k| {
+            let d = -1.5 + 0.4 * f64::from(k - 6);
+            (f64::from(k), 1_004.5 + off, d, 0.0, 0.0)
+        }));
+        let f = future(&path, &stopped, trajectory(&path, &samples), 0.0);
+        check("rear edge past the reach", &f, &stopped);
+        cases += 1;
+    }
+    assert_eq!(cases, 69);
+}
+
+#[test]
+fn a_piece_past_the_reach_with_one_end_behind_the_ego_is_scanned() {
+    // An oncoming car in the ego's lane, 60 m ahead at t0 and coming back
+    // at 8 m/s: its piece from 7 s to 9 s runs from 4 m ahead of the ego's
+    // t0 bumper to 12 m behind it.
+    let path = road();
+    let ego = ego_on(&path, 0.0, 0.0, 10.0, 0.0);
+    let back = std::f64::consts::PI;
+    let oncoming = trajectory(
+        &path,
+        &[
+            (0.0, 64.5, 0.0, back, 8.0),
+            (7.0, 8.5, 0.0, back, 8.0),
+            (9.0, -7.5, 0.0, back, 8.0),
+            (12.0, -31.5, 0.0, back, 8.0),
+        ],
+    );
+    let f = future(&path, &ego, oncoming, 0.0);
+    let past = |t: f64| f.prove_span(Seconds(t), Seconds(12.0));
+    assert_eq!(past(6.5), SpanProof::Active);
+    assert_eq!(past(8.0), SpanProof::Unproven);
+    assert_eq!(past(10.0), SpanProof::Quiet);
+    let (skips, outcome) = check("one end behind", &f, &ego);
+    // From the reach to 7 s, and not one instant of the piece after it.
+    assert!(skips.active.len() > 100, "{}", skips.active.len());
+    assert!(skips.active.iter().all(|&t| t <= 7.0 + 1e-9));
+    assert_ne!(outcome, SearchOutcome::Unconstrained);
+}
+
+#[test]
+fn an_interval_opening_past_the_reach_queries_its_first_instant() {
+    // A car stopped 5 m left of the ego's lane jumps into it between
+    // 6.995 s and 7.005 s. The scan instant 7.00 s still sees it 2.5 m
+    // out; 7.01 s lies in a piece that is in the lane throughout, so the
+    // interval opens past the reach at an instant proved active. Only its
+    // gap decides whether the interval is frontal: the unreacting ego has
+    // driven 70.1 m by then.
+    let path = road();
+    let ego = ego_on(&path, 0.0, 0.0, 10.0, 0.0);
+    for (case, s, frontal) in [
+        ("cut-in ahead of the unreacting ego", 150.0, true),
+        ("cut-in behind the unreacting ego", 40.0, false),
+    ] {
+        let cut_in = trajectory(
+            &path,
+            &[
+                (0.0, s, 5.0, 0.0, 0.0),
+                (6.995, s, 5.0, 0.0, 0.0),
+                (7.005, s, 0.0, 0.0, 0.0),
+                (12.0, s, 0.0, 0.0, 0.0),
+            ],
+        );
+        let f = future(&path, &ego, cut_in, 0.0);
+        assert_eq!(
+            f.prove_span(Seconds(7.01), Seconds(12.0)),
+            SpanProof::Active
+        );
+        let (skips, outcome) = check(case, &f, &ego);
+        assert_eq!(outcome != SearchOutcome::Unconstrained, frontal, "{case}");
+        // Every instant after the opening one is skipped.
+        assert_eq!(skips.active.len(), 499, "{case}");
+        assert!(skips.active[0] > 7.015, "{case}: {}", skips.active[0]);
+    }
+}
+
+#[test]
+fn a_non_frontal_interval_past_the_reach_stays_unrecorded() {
+    // A car closes from 30 m behind at 25 m/s against the ego's 20 m/s. Its
+    // gap turns non-negative at 1.38 s, when the unreacting ego is 27.6 m
+    // further on, so the interval it opens is not frontal. It stays open,
+    // in lane, to the horizon.
+    let path = road();
+    let ego = ego_on(&path, 100.0, 0.0, 20.0, 0.0);
+    let f = future(&path, &ego, frenet_line(&path, 70.0, 0.2, 25.0, 0.0), 0.0);
+    let (skips, outcome) = check("closing from behind", &f, &ego);
+    assert!(skips.active.len() > 600, "{}", skips.active.len());
+    assert_eq!(outcome, SearchOutcome::Unconstrained);
+}
+
+#[test]
+fn the_reach_follows_the_alpha_model_and_the_horizon() {
+    let path = road();
+    let ego = ego_on(&path, 0.0, 0.0, 20.0, 0.0);
+    let lead = future(&path, &ego, frenet_line(&path, 60.0, 0.0, 18.0, 0.0), 0.0);
+    let configs = {
+        // α = K·l whatever l₀: t_r = 1 + 5 s.
+        let mut full = ZhuyiConfig::paper();
+        full.alpha = AlphaModel::FullLatency;
+        // t_r = 1 + 12·(1 − 1/30) s, past the horizon.
+        let mut slow = ZhuyiConfig::paper();
+        slow.confirmation_frames = 12;
+        // The horizon before t_r = 5.83 s.
+        let mut short = ZhuyiConfig::paper();
+        short.horizon = Seconds(5.0);
+        [
+            ("full latency, l0 = 0.2 s", full, Seconds(0.2), 6.0),
+            ("reach at the horizon", slow, L0, 12.0),
+            ("horizon before t_r", short, L0, 5.0),
+        ]
+    };
+    for (case, cfg, l0, expected) in configs {
+        assert_eq!(reach(&cfg, l0), expected, "{case}");
+        let e = TolerableLatencyEstimator::new(cfg).expect("valid config");
+        let (skips, outcome) = check_with(case, &e, l0, &lead, &ego);
+        assert_ne!(outcome, SearchOutcome::Unconstrained, "{case}");
+        // The instants from the reach to the horizon, give or take the
+        // one the accumulated clock rounds to either side of the reach.
+        let past = ((cfg.horizon.value() - expected) / 0.01).round() as usize;
+        assert!(
+            skips.active.len() <= past + 1,
+            "{case}: {}",
+            skips.active.len()
+        );
+        assert!(
+            skips.active.len() + 1 >= past,
+            "{case}: {}",
+            skips.active.len()
+        );
+    }
 }
 
 /// xorshift64: a fixed, dependency-free stream for the sweep.
@@ -305,7 +581,7 @@ impl Rng {
 #[test]
 fn seeded_random_futures_agree() {
     let mut rng = Rng(0x9e37_79b9_7f4a_7c15);
-    let (mut skipped, mut threats) = (0u64, 0usize);
+    let (mut skipped, mut active, mut threats) = (0u64, 0usize, 0usize);
     for case in 0..250 {
         let origin = Vec2::new(rng.range(-1e4, 1e4), rng.range(-1e4, 1e4));
         let path = Path::straight(origin, Radians(rng.range(-3.1, 3.1)), Meters(3000.0));
@@ -321,19 +597,24 @@ fn seeded_random_futures_agree() {
             },
             rng.range(-4.0, 2.0),
         );
+        // Every third case keeps to the lane: its lateral draws shrink
+        // tenfold and its headings a hundredfold, so the tail stays in the
+        // corridor and spans past the reach prove active.
+        let lane = if case % 3 == 1 { 0.1 } else { 1.0 };
         let n = 1 + (rng.unit() * 30.0) as usize;
         let (mut t, mut s, mut d) = (rng.range(-1.0, 1.0), ego_s + rng.range(-40.0, 90.0), 0.0);
         let mut samples = Vec::with_capacity(n);
-        let (mut vs, mut vd) = (rng.range(-5.0, 30.0), rng.range(-4.0, 4.0));
-        d += rng.range(-8.0, 8.0);
+        let (mut vs, mut vd) = (rng.range(-5.0, 30.0), lane * rng.range(-4.0, 4.0));
+        d += lane * rng.range(-8.0, 8.0);
         for _ in 0..n {
-            samples.push((t, s, d, rng.range(-3.1, 3.1), rng.range(0.0, 30.0)));
+            let heading = lane * lane * rng.range(-3.1, 3.1);
+            samples.push((t, s, d, heading, rng.range(0.0, 30.0)));
             let dt = rng.range(0.03, 0.6);
             t += dt;
             s += vs * dt;
             d += vd * dt;
             vs += rng.range(-3.0, 3.0);
-            vd += rng.range(-2.0, 2.0);
+            vd += lane * rng.range(-2.0, 2.0);
         }
         let f = future(
             &path,
@@ -341,11 +622,16 @@ fn seeded_random_futures_agree() {
             trajectory(&path, &samples),
             rng.range(-0.5, 1.0),
         );
-        let (quiet, outcome) = check(&format!("random case {case}"), &f, &ego);
-        skipped += quiet;
+        let (skips, outcome) = check(&format!("random case {case}"), &f, &ego);
+        skipped += skips.quiet;
+        active += skips.active.len();
         threats += usize::from(outcome != SearchOutcome::Unconstrained);
     }
     assert!(skipped > 50_000, "the sweep exercises the skip ({skipped})");
+    assert!(
+        active > 10_000,
+        "the sweep skips active instants ({active})"
+    );
     assert!(threats > 25, "the sweep finds threats ({threats})");
 }
 
@@ -360,18 +646,6 @@ fn arc_road() -> Path {
     )
 }
 
-/// Samples every 0.1 s over the 12 s horizon of `(s, d)` moving at
-/// `(vs, vd)` in the Frenet frame of `path`, heading along the road.
-fn frenet_line(path: &Path, s0: f64, d0: f64, vs: f64, vd: f64) -> Trajectory {
-    let samples: Vec<_> = (0..=120)
-        .map(|k| {
-            let t = 0.1 * f64::from(k);
-            (t, s0 + vs * t, d0 + vd * t, 0.0, vs)
-        })
-        .collect();
-    trajectory(path, &samples)
-}
-
 #[test]
 fn arc_instants_in_other_lanes_are_skipped() {
     // The ego in the middle lane (d = 3.7) of the three-lane curved road.
@@ -383,7 +657,7 @@ fn arc_instants_in_other_lanes_are_skipped() {
         ("cut-in from the left", 7.4, -1.2, true),
     ] {
         let f = future(&path, &ego, frenet_line(&path, 150.0, d0, 20.0, vd), 0.0);
-        let (skipped, outcome) = check(case, &f, &ego);
+        let (Skips { quiet: skipped, .. }, outcome) = check(case, &f, &ego);
         assert!(
             skipped > 200,
             "{case}: arc instants were skipped ({skipped})"
@@ -416,10 +690,10 @@ fn a_straight_line_prediction_drifting_off_the_arc_is_skipped() {
     let drifting = Trajectory::new(points, 1.0).expect("valid trajectory");
     let f = future(&path, &ego, drifting, 0.0);
     assert!(
-        !f.provably_quiet(Seconds(0.0), Seconds(12.0)),
+        f.prove_span(Seconds(0.0), Seconds(12.0)) == SpanProof::Unproven,
         "in lane at t0"
     );
-    let (skipped, outcome) = check("straight-line drift", &f, &ego);
+    let (Skips { quiet: skipped, .. }, outcome) = check("straight-line drift", &f, &ego);
     assert!(
         skipped > 500,
         "the drifted instants were skipped ({skipped})"
@@ -438,12 +712,13 @@ fn instants_past_the_arc_end_are_scanned() {
     let path = arc_road();
     let ego = ego_on(&path, 1440.0, 0.0, 20.0, 0.0);
     let beside = future(&path, &ego, frenet_line(&path, 1460.0, 3.7, 22.0, 0.0), 0.0);
-    assert!(beside.provably_quiet(Seconds(0.5), Seconds(12.0)));
+    let quiet = SpanProof::Quiet;
+    assert_eq!(beside.prove_span(Seconds(0.5), Seconds(12.0)), quiet);
     assert!(
-        !beside.provably_quiet(Seconds(4.0), Seconds(12.0)),
+        beside.prove_span(Seconds(4.0), Seconds(12.0)) == SpanProof::Unproven,
         "s = 1548"
     );
-    let (skipped, _) = check("beside, past the end", &beside, &ego);
+    let (Skips { quiet: skipped, .. }, _) = check("beside, past the end", &beside, &ego);
     assert!(
         skipped > 100,
         "instants before the end were skipped ({skipped})"
@@ -479,8 +754,9 @@ fn the_start_of_a_near_full_turn_is_claimed_by_the_extended_end() {
         frenet_line(&path, 3080.0, -25.0, 10.0, 0.0),
         0.0,
     );
-    assert!(!lead.provably_quiet(Seconds(0.0), Seconds(12.0)));
-    let (skipped, outcome) = check("in lane past the end", &lead, &ego);
+    let at_t0 = lead.prove_span(Seconds(0.0), Seconds(12.0));
+    assert_eq!(at_t0, SpanProof::Unproven);
+    let (Skips { quiet: skipped, .. }, outcome) = check("in lane past the end", &lead, &ego);
     assert_eq!(skipped, 0, "the extension claims every instant");
     assert_ne!(
         outcome,
@@ -494,7 +770,7 @@ fn the_start_of_a_near_full_turn_is_claimed_by_the_extended_end() {
         frenet_line(&path, 3080.0, 10.0, 10.0, 0.0),
         0.0,
     );
-    let (skipped, _) = check("inside the circle", &inside, &ego);
+    let (Skips { quiet: skipped, .. }, _) = check("inside the circle", &inside, &ego);
     assert!(skipped > 500, "the circle proves it quiet ({skipped})");
 }
 
@@ -545,8 +821,13 @@ fn seeded_random_arc_futures_agree() {
             trajectory(&path, &samples),
             rng.range(-0.5, 1.0),
         );
-        let (quiet, outcome) = check(&format!("random arc case {case}"), &f, &ego);
-        skipped += quiet;
+        let (skips, outcome) = check(&format!("random arc case {case}"), &f, &ego);
+        assert_eq!(
+            skips.active,
+            [],
+            "random arc case {case}: an arc proves nothing active"
+        );
+        skipped += skips.quiet;
         threats += usize::from(outcome != SearchOutcome::Unconstrained);
     }
     assert!(skipped > 20_000, "the sweep exercises the skip ({skipped})");
