@@ -1,18 +1,12 @@
-//! `fleet_shard` — one sweep worker process.
+//! `fleet_shard` — one sweep worker process, and the only way to start
+//! one.
 //!
-//! Connects to a `fleet_sweep --dist` coordinator, executes the shards it
-//! is assigned through the fleet engine's metrics-only execution path,
-//! and streams each job's result back the moment it finishes. Normally
-//! spawned by the coordinator itself; run it by hand (or on another host)
-//! to join a coordinator that passed `--listen`:
-//!
-//! ```text
-//! USAGE:
-//!   fleet_shard --connect HOST:PORT [--name NAME] [--spawned]
-//!               [--fail-after N] [--chaos-seed N] [--chaos-profile NAME]
-//!               [--poison-job ID] [--wedge-job ID] [--corrupt-job ID[:DELTA]]
-//!               [--slow-start MS] [--help]
-//! ```
+//! Connects to a `fleet_sweep --dist` coordinator or a `fleet_sweep
+//! --daemon`, executes the shards it is assigned through the fleet
+//! engine's metrics-only execution path, and streams each job's result
+//! back the moment it finishes. Normally spawned by the coordinator
+//! itself; run it by hand (or on another host) to join a coordinator that
+//! passed `--listen`. `--help` prints every flag.
 //!
 //! `--spawned` marks the worker as coordinator-spawned (eligible for
 //! respawn after a crash). The remaining flags are fault-injection hooks
@@ -27,129 +21,74 @@
 
 use std::process::ExitCode;
 use std::time::Duration;
-use zhuyi_distd::{cli, run_worker, ChaosSpec, WorkerOptions};
+use zhuyi_distd::cli::{parse_addr, parse_chaos_profile, parse_count};
+use zhuyi_distd::{run_worker, ChaosSpec, WorkerOptions};
 
-fn parse_job_id(flag: &str, spec: &str) -> Result<u64, String> {
-    spec.trim()
-        .parse()
-        .map_err(|_| format!("{flag} expects a job id, got {spec:?}"))
-}
+const USAGE: &str = "USAGE:
+  fleet_shard --connect HOST:PORT [--name NAME] [--spawned]
+              [--fail-after N] [--chaos-seed N] [--chaos-profile NAME]
+              [--poison-job ID] [--wedge-job ID] [--corrupt-job ID[:DELTA]]
+              [--slow-start MS]
+
+fleet_shard — distributed sweep worker
+
+Joins the fleet coordinator at HOST:PORT (a `fleet_sweep --dist` or
+`fleet_sweep --daemon` run that passed --listen), executes assigned job
+shards and streams results back.
+
+FAULT INJECTION (chaos / crash-recovery tests):
+  --fail-after N         exit hard (code 17) after N results
+  --chaos-seed N         deterministic faults on every outbound frame
+  --chaos-profile NAME   mild (default) | storm | drops | corrupt
+  --poison-job ID        panic executing job ID (contained -> JobFailed)
+  --wedge-job ID         hang forever on job ID (deadline fodder)
+  --corrupt-job ID[:D]   perturb job ID's result by D*n on the n-th run
+  --slow-start MS        sleep MS ms before connecting";
 
 /// `ID` or `ID:DELTA` (delta defaults to 1; the n-th corruption shifts
 /// the result by `delta * n`, so two corrupt executions never agree).
 fn parse_corrupt_job(spec: &str) -> Result<(u64, u64), String> {
-    let (id, delta) = match spec.trim().split_once(':') {
-        Some((id, delta)) => (id, delta),
-        None => (spec.trim(), "1"),
-    };
-    let id = parse_job_id("--corrupt-job", id)?;
-    let delta: u64 = delta
-        .trim()
-        .parse()
-        .map_err(|_| format!("--corrupt-job expects ID[:DELTA], got {spec:?}"))?;
-    if delta == 0 {
-        return Err("--corrupt-job DELTA must be >= 1".to_string());
-    }
-    Ok((id, delta))
+    let (id, delta) = spec.trim().split_once(':').unwrap_or((spec, "1"));
+    let flag = "--corrupt-job ID[:DELTA]";
+    Ok((parse_count(flag, id, 0)?, parse_count(flag, delta, 1)?))
 }
 
-fn parse_args() -> Result<WorkerOptions, String> {
+fn parse(argv: Vec<String>) -> Result<WorkerOptions, String> {
     let mut connect: Option<String> = None;
-    let mut name: Option<String> = None;
-    let mut spawned = false;
-    let mut fail_after: Option<u32> = None;
+    let mut options = WorkerOptions::new(String::new());
     let mut chaos_seed: Option<u64> = None;
     let mut chaos_profile = None;
-    let mut poison_job: Option<u64> = None;
-    let mut wedge_job: Option<u64> = None;
-    let mut corrupt_job: Option<(u64, u64)> = None;
-    let mut slow_start: Option<Duration> = None;
-    let mut it = std::env::args().skip(1);
+    let mut it = argv.into_iter();
     while let Some(flag) = it.next() {
-        let mut value = |name: &str| it.next().ok_or_else(|| format!("{name} expects a value"));
+        let mut value = || it.next().ok_or_else(|| format!("{flag} expects a value"));
         match flag.as_str() {
-            "--help" | "-h" => return Err(String::new()),
-            "--connect" => connect = Some(cli::parse_addr("--connect", &value("--connect")?)?),
-            "--name" => name = Some(value("--name")?),
-            "--spawned" => spawned = true,
-            "--fail-after" => fail_after = Some(cli::parse_fail_after(&value("--fail-after")?)?),
-            "--chaos-seed" => chaos_seed = Some(cli::parse_chaos_seed(&value("--chaos-seed")?)?),
-            "--chaos-profile" => {
-                chaos_profile = Some(cli::parse_chaos_profile(&value("--chaos-profile")?)?)
-            }
-            "--poison-job" => {
-                poison_job = Some(parse_job_id("--poison-job", &value("--poison-job")?)?)
-            }
-            "--wedge-job" => wedge_job = Some(parse_job_id("--wedge-job", &value("--wedge-job")?)?),
-            "--corrupt-job" => corrupt_job = Some(parse_corrupt_job(&value("--corrupt-job")?)?),
+            "--connect" => connect = Some(parse_addr(&flag, &value()?)?),
+            "--name" => options.name = value()?,
+            "--spawned" => options.spawned = true,
+            "--fail-after" => options.fail_after = Some(parse_count(&flag, &value()?, 1)?),
+            "--chaos-seed" => chaos_seed = Some(parse_count(&flag, &value()?, 0)?),
+            "--chaos-profile" => chaos_profile = Some(parse_chaos_profile(&value()?)?),
+            "--poison-job" => options.poison_job = Some(parse_count(&flag, &value()?, 0)?),
+            "--wedge-job" => options.wedge_job = Some(parse_count(&flag, &value()?, 0)?),
+            "--corrupt-job" => options.corrupt_job = Some(parse_corrupt_job(&value()?)?),
             "--slow-start" => {
-                let ms: u64 = value("--slow-start")?
-                    .trim()
-                    .parse()
-                    .map_err(|_| "--slow-start expects milliseconds".to_string())?;
-                slow_start = Some(Duration::from_millis(ms));
+                let ms = parse_count(&flag, &value()?, 0)?;
+                options.slow_start = Some(Duration::from_millis(ms));
             }
             other => return Err(format!("unknown flag {other:?}")),
         }
     }
-    let connect = connect.ok_or_else(|| "--connect HOST:PORT is required".to_string())?;
+    options.connect = connect.ok_or_else(|| "--connect HOST:PORT is required".to_string())?;
     if chaos_profile.is_some() && chaos_seed.is_none() {
         return Err("--chaos-profile requires --chaos-seed (the fault stream is seeded)".into());
     }
-    let mut options = WorkerOptions::new(connect);
-    if let Some(name) = name {
-        options.name = name;
-    }
-    options.spawned = spawned;
-    options.fail_after = fail_after;
-    options.chaos = chaos_seed.map(|seed| ChaosSpec {
-        seed,
-        profile: chaos_profile
-            .unwrap_or_else(|| cli::parse_chaos_profile("mild").expect("built-in")),
-    });
-    options.poison_job = poison_job;
-    options.wedge_job = wedge_job;
-    options.corrupt_job = corrupt_job;
-    options.slow_start = slow_start;
+    let profile = chaos_profile.map_or_else(|| parse_chaos_profile("mild"), Ok)?;
+    options.chaos = chaos_seed.map(|seed| ChaosSpec { seed, profile });
     Ok(options)
 }
 
-fn usage() {
-    eprintln!(
-        "fleet_shard — distributed sweep worker\n\n\
-         USAGE:\n  fleet_shard --connect HOST:PORT [--name NAME] [--spawned]\n\
-         \x20             [--fail-after N] [--chaos-seed N] [--chaos-profile NAME]\n\
-         \x20             [--poison-job ID] [--wedge-job ID] [--corrupt-job ID[:DELTA]]\n\
-         \x20             [--slow-start MS]\n\n\
-         Joins the fleet coordinator at HOST:PORT (a `fleet_sweep --dist` run,\n\
-         usually one that passed --listen), executes assigned job shards and\n\
-         streams results back.\n\n\
-         FAULT INJECTION (chaos / crash-recovery tests):\n\
-         \x20 --fail-after N         exit hard (code 17) after N results\n\
-         \x20 --chaos-seed N         deterministic faults on every outbound frame\n\
-         \x20 --chaos-profile NAME   mild (default) | storm | drops | corrupt\n\
-         \x20 --poison-job ID        panic executing job ID (contained -> JobFailed)\n\
-         \x20 --wedge-job ID         hang forever on job ID (deadline fodder)\n\
-         \x20 --corrupt-job ID[:D]   perturb job ID's result by D*n on the n-th run\n\
-         \x20 --slow-start MS        sleep MS ms before connecting"
-    );
-}
-
 fn main() -> ExitCode {
-    let options = match parse_args() {
-        Ok(options) => options,
-        Err(message) => {
-            if !message.is_empty() {
-                eprintln!("error: {message}\n");
-            }
-            usage();
-            return if message.is_empty() {
-                ExitCode::SUCCESS
-            } else {
-                ExitCode::from(2)
-            };
-        }
-    };
+    let options = zhuyi_bench::command_line(USAGE, parse);
     match run_worker(&options) {
         Ok(_) => ExitCode::SUCCESS,
         Err(e) => {

@@ -35,22 +35,17 @@
 //! Every mode must produce identical sweep exports (asserted here), so
 //! the speedups are like-for-like measurements, not changed experiments.
 //!
-//! ```text
-//! USAGE:
-//!   perf_baseline [--scenarios all|0,1,5] [--variants N]
-//!                 [--rates 1,2,...,30] [--workers N]
-//!                 [--shards 1,2,4|none] [--out NAME]
-//! ```
-//!
 //! Defaults reproduce the acceptance workload: all nine scenarios,
 //! 10 variants, the paper rate grid, one worker (pure single-thread
-//! core comparison), writing `results/BENCH_sim.json`.
+//! core comparison), writing `results/BENCH_sim.json`. `--help` prints
+//! every flag.
 
 use av_core::prelude::*;
 use av_scenarios::catalog::{Scenario, ScenarioId, PAPER_RATE_GRID};
 use std::fmt::Write as _;
 use std::process::ExitCode;
 use std::time::Instant;
+use zhuyi_distd::cli::parse_count;
 use zhuyi_distd::{default_worker_binary, run_distributed, DistConfig};
 use zhuyi_fleet::{cli, run_sweep_with, ExecOptions, JobOutcome, SweepPlan};
 
@@ -101,118 +96,72 @@ fn previous_streaming_sims_per_s(out: &str) -> Option<f64> {
     value.parse().ok()
 }
 
-/// Parses `--shards`: `none` to skip the shard-scaling phase, or a
-/// comma-separated set of worker-process counts (sorted, deduplicated,
-/// all `>= 1`).
-fn parse_shards(spec: &str) -> Result<Vec<u32>, String> {
-    if spec.trim() == "none" {
-        return Ok(Vec::new());
-    }
-    let mut shards: Vec<u32> = spec
-        .split(',')
-        .map(|s| {
-            s.trim()
-                .parse()
-                .map_err(|_| format!("bad shard count {s:?}"))
-        })
-        .collect::<Result<_, String>>()?;
-    shards.sort_unstable();
-    shards.dedup();
-    if shards.first() == Some(&0) {
-        return Err("shard worker counts must be >= 1".to_string());
-    }
-    Ok(shards)
-}
+const USAGE: &str = "USAGE:
+  perf_baseline [--scenarios all|0,1,5] [--variants N]
+                [--rates 1,2,...,30] [--workers N] [--reps N]
+                [--shards 1,2,4|none] [--baseline-s SECS] [--out NAME]
+                [--prev-sims-per-s X] [--prev-remeasured-sims-per-s X]
 
-fn parse_args() -> Result<Args, String> {
+perf_baseline — simulation-core and MSF-search benchmark
+
+Writes results/<NAME> (default BENCH_sim.json): single-run ticks/sec and
+MSF-sweep sims/sec for the per-rate and batched searches, plus speedups,
+plus a shard_scaling section measuring the same streaming sweep sharded
+across --shards spawned fleet_shard worker processes (build fleet_shard
+first; every distributed run's exports are asserted byte-identical).
+Each measurement is the median of --reps repetitions, reported with its
+min/max spread.
+--baseline-s records an externally measured wall time for the identical
+sweep on the pre-streaming engine (e.g. the previous commit's
+`fleet_sweep --mode msf --variants N --workers 1`) into the JSON, so the
+against-baseline speedup is part of the committed artifact.
+The streaming throughput of the existing results/<NAME> (or an explicit
+--prev-sims-per-s, e.g. the previous commit's binary re-measured on this
+machine) is carried into a vs_previous section with the before/after ratio.";
+
+fn parse(argv: Vec<String>) -> Result<Args, String> {
     let mut args = Args::default();
-    let mut it = std::env::args().skip(1);
+    let mut it = argv.into_iter();
     while let Some(flag) = it.next() {
-        let mut value = |name: &str| it.next().ok_or_else(|| format!("{name} expects a value"));
+        let mut value = || it.next().ok_or_else(|| format!("{flag} expects a value"));
+        let mut number = || {
+            let spec = value()?;
+            spec.trim()
+                .parse::<f64>()
+                .map_err(|_| format!("{flag} expects a number, got {spec:?}"))
+        };
         match flag.as_str() {
-            "--help" | "-h" => return Err(String::new()),
-            "--scenarios" => args.scenarios = cli::parse_scenarios(&value("--scenarios")?)?,
-            "--variants" => {
-                args.variants = value("--variants")?
-                    .parse()
-                    .map_err(|_| "bad --variants".to_string())?
-            }
-            "--rates" => args.rates = cli::parse_rates(&value("--rates")?)?,
-            "--workers" => {
-                args.workers = value("--workers")?
-                    .parse()
-                    .map_err(|_| "bad --workers".to_string())?
-            }
+            "--scenarios" => args.scenarios = cli::parse_scenarios(&value()?)?,
+            "--variants" => args.variants = parse_count(&flag, &value()?, 1)?,
+            "--rates" => args.rates = cli::parse_rates(&value()?)?,
+            "--workers" => args.workers = parse_count(&flag, &value()?, 1)?,
+            // `none` skips the shard-scaling phase; otherwise a set of
+            // worker-process counts, sorted and deduplicated.
             "--shards" => {
-                args.shards = parse_shards(&value("--shards")?)?;
+                let spec = value()?;
+                args.shards = if spec.trim() == "none" {
+                    Vec::new()
+                } else {
+                    spec.split(',')
+                        .map(|count| parse_count(&flag, count, 1))
+                        .collect::<Result<_, _>>()?
+                };
+                args.shards.sort_unstable();
+                args.shards.dedup();
                 args.shards_explicit = true;
             }
-            "--reps" => {
-                args.reps = value("--reps")?
-                    .parse()
-                    .map_err(|_| "bad --reps".to_string())?
-            }
-            "--baseline-s" => {
-                args.baseline_s = Some(
-                    value("--baseline-s")?
-                        .parse()
-                        .map_err(|_| "bad --baseline-s".to_string())?,
-                )
-            }
-            "--prev-sims-per-s" => {
-                args.prev_sims_per_s = Some(
-                    value("--prev-sims-per-s")?
-                        .parse()
-                        .map_err(|_| "bad --prev-sims-per-s".to_string())?,
-                )
-            }
-            "--prev-remeasured-sims-per-s" => {
-                args.prev_remeasured_sims_per_s = Some(
-                    value("--prev-remeasured-sims-per-s")?
-                        .parse()
-                        .map_err(|_| "bad --prev-remeasured-sims-per-s".to_string())?,
-                )
-            }
-            "--out" => args.out = value("--out")?,
+            "--reps" => args.reps = parse_count(&flag, &value()?, 1)?,
+            "--baseline-s" => args.baseline_s = Some(number()?),
+            "--prev-sims-per-s" => args.prev_sims_per_s = Some(number()?),
+            "--prev-remeasured-sims-per-s" => args.prev_remeasured_sims_per_s = Some(number()?),
+            "--out" => args.out = value()?,
             other => return Err(format!("unknown flag {other:?}")),
         }
-    }
-    if args.variants == 0 {
-        return Err("--variants must be >= 1".to_string());
-    }
-    if args.workers == 0 {
-        return Err("--workers must be >= 1".to_string());
     }
     if args.rates.is_empty() {
         return Err("--rates must name at least one rate".to_string());
     }
-    if args.reps == 0 {
-        return Err("--reps must be >= 1".to_string());
-    }
     Ok(args)
-}
-
-fn usage() {
-    eprintln!(
-        "perf_baseline — simulation-core and MSF-search benchmark\n\n\
-         USAGE:\n  perf_baseline [--scenarios all|0,1,5] [--variants N]\n\
-         \x20              [--rates 1,2,...,30] [--workers N] [--reps N]\n\
-         \x20              [--shards 1,2,4|none] [--baseline-s SECS] [--out NAME]\n\n\
-         Writes results/<NAME> (default BENCH_sim.json): single-run ticks/sec and\n\
-         MSF-sweep sims/sec for the per-rate and batched searches, plus speedups,\n\
-         plus a shard_scaling section measuring the same streaming sweep sharded\n\
-         across --shards spawned fleet_shard worker processes (build fleet_shard\n\
-         first; every distributed run's exports are asserted byte-identical).\n\
-         Each measurement is the median of --reps repetitions, reported with its\n\
-         min/max spread.\n\
-         --baseline-s records an externally measured wall time for the identical\n\
-         sweep on the pre-streaming engine (e.g. the previous commit's\n\
-         `fleet_sweep --mode msf --variants N --workers 1`) into the JSON, so the\n\
-         against-baseline speedup is part of the committed artifact.\n\
-         The streaming throughput of the existing results/<NAME> (or an explicit\n\
-         --prev-sims-per-s, e.g. the previous commit's binary re-measured on this\n\
-         machine) is carried into a vs_previous section with the before/after ratio."
-    );
 }
 
 /// Median / min / max of a set of timing samples (seconds).
@@ -257,20 +206,7 @@ fn single_run_pass(scenarios: &[ScenarioId], streaming: bool) -> (u64, f64) {
 }
 
 fn main() -> ExitCode {
-    let args = match parse_args() {
-        Ok(args) => args,
-        Err(message) => {
-            if !message.is_empty() {
-                eprintln!("error: {message}\n");
-            }
-            usage();
-            return if message.is_empty() {
-                ExitCode::SUCCESS
-            } else {
-                ExitCode::from(2)
-            };
-        }
-    };
+    let args = zhuyi_bench::command_line(USAGE, parse);
 
     // --- Phase 1: single-run throughput (ticks/sec). -------------------
     // One throwaway pass warms code and allocator; sections are measured

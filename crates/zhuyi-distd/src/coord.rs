@@ -101,7 +101,7 @@
 //! exports stay byte-identical to a clean single-process run over the
 //! same surviving job set.
 
-use crate::daemon::{self, Daemon};
+use crate::daemon::{self, Daemon, HEARTBEAT_TIMEOUT};
 use crate::faultnet::{self, ChaosSpec};
 use crate::journal::{self, plan_fingerprint, JournalError, JournalRecord, JournalWriter};
 use crate::quarantine::{QuarantineEntry, QuarantineManifest};
@@ -127,9 +127,9 @@ pub struct DistConfig {
     /// of the current executable (see [`default_worker_binary`]).
     pub worker_binary: Option<PathBuf>,
     /// Additional listen address (`host:port`) for workers joining from
-    /// other processes or hosts via `--connect`; client sessions on it are
-    /// answered as by a draining daemon. `None` binds an ephemeral
-    /// loopback port used only by spawned workers.
+    /// other processes or hosts via `fleet_shard --connect`; client
+    /// sessions on it are answered as by a draining daemon. `None` binds
+    /// an ephemeral loopback port used only by spawned workers.
     pub listen: Option<String>,
     /// Checkpoint file, a one-plan journal: completed jobs append here,
     /// and an existing file holding this plan is resumed instead of
@@ -141,8 +141,6 @@ pub struct DistConfig {
     /// small enough for the pull queue to balance, large enough to
     /// amortize frames.
     pub batch_size: Option<usize>,
-    /// A worker silent for longer than this is declared dead.
-    pub heartbeat_timeout: Duration,
     /// Hard cap on sweep-wide silence: if no result arrives for this long
     /// the run aborts with [`DistError::Stalled`] instead of hanging.
     pub stall_timeout: Duration,
@@ -205,7 +203,6 @@ impl Default for DistConfig {
             checkpoint: None,
             options: ExecOptions::default(),
             batch_size: None,
-            heartbeat_timeout: Duration::from_secs(30),
             stall_timeout: Duration::from_secs(600),
             max_respawns: 3,
             worker_extra_args: Vec::new(),
@@ -1055,7 +1052,7 @@ impl Scheduler {
         let timed_out: Vec<WorkerId> = self
             .workers
             .iter()
-            .filter(|(_, c)| c.last_seen.elapsed() > self.config.heartbeat_timeout)
+            .filter(|(_, c)| c.last_seen.elapsed() > HEARTBEAT_TIMEOUT)
             .map(|(&id, _)| id)
             .collect();
         for worker in timed_out {
@@ -1110,14 +1107,16 @@ impl Scheduler {
         }
     }
 
-    pub(crate) fn shutdown_workers(&mut self) {
+    /// Sends every connected worker `Shutdown` and forgets it; returns
+    /// their ids, whose sessions the caller waits out.
+    pub(crate) fn shutdown_workers(&mut self) -> Vec<WorkerId> {
         for conn in self.workers.values_mut() {
             // Send the frame but do not hard-close the socket: a worker
             // may still be flushing its final BatchDone, and exits
             // cleanly on its own once it reads Shutdown.
             let _ = wire::write_frame(&mut conn.writer, &Frame::Shutdown);
         }
-        self.workers.clear();
+        std::mem::take(&mut self.workers).into_keys().collect()
     }
 
     /// The scheduler's registry folded with the final cumulative snapshot
@@ -1161,8 +1160,12 @@ pub(crate) fn spawn_worker(
     })
 }
 
+/// How long teardown waits for workers to exit on their own before
+/// spawned ones are killed.
+pub(crate) const REAP_TIMEOUT: Duration = Duration::from_secs(5);
+
 pub(crate) fn reap_children(children: &mut [ChildSlot]) {
-    let deadline = Instant::now() + Duration::from_secs(5);
+    let deadline = Instant::now() + REAP_TIMEOUT;
     loop {
         let mut alive = false;
         for slot in children.iter_mut() {

@@ -94,8 +94,6 @@ pub struct DaemonConfig {
     pub lease: Duration,
     /// Jobs per shard; `None` derives the scheduler's default.
     pub batch_size: Option<usize>,
-    /// A worker silent for longer than this is declared dead.
-    pub heartbeat_timeout: Duration,
     /// Strikes before a job is quarantined out of its plan.
     pub max_job_failures: usize,
     /// Collect telemetry (daemon counters folded with worker snapshots
@@ -113,7 +111,6 @@ impl Default for DaemonConfig {
             max_queue: 8,
             lease: Duration::from_secs(300),
             batch_size: None,
-            heartbeat_timeout: Duration::from_secs(30),
             max_job_failures: 3,
             telemetry: false,
         }
@@ -249,6 +246,11 @@ enum Event {
 const RESPAWN_BACKOFF_FLOOR: Duration = Duration::from_millis(250);
 /// Upper bound on the respawn retry backoff.
 const RESPAWN_BACKOFF_CEIL: Duration = Duration::from_secs(2);
+/// A worker silent for longer than this is declared dead.
+pub(crate) const HEARTBEAT_TIMEOUT: Duration = Duration::from_secs(30);
+/// How often a worker sends a heartbeat, well inside
+/// [`HEARTBEAT_TIMEOUT`].
+pub(crate) const HEARTBEAT_INTERVAL: Duration = Duration::from_secs(1);
 
 /// The plan book, the client sessions and the journal around the one
 /// scheduler.
@@ -666,7 +668,6 @@ pub fn run_daemon(config: &DaemonConfig) -> Result<DaemonReport, DaemonError> {
         worker_binary: config.worker_binary.clone(),
         listen: Some(config.listen.clone()),
         batch_size: config.batch_size,
-        heartbeat_timeout: config.heartbeat_timeout,
         stall_timeout: Duration::MAX,
         max_respawns: usize::MAX,
         max_job_failures: config.max_job_failures,
@@ -857,8 +858,19 @@ pub(crate) fn serve(
 
     // Teardown, shared by every exit path: the journal flushes per
     // record, so only the fleet, the accept thread and the metrics
-    // endpoint are left.
-    daemon.sched.shutdown_workers();
+    // endpoint are left. Each worker's session closes once the worker
+    // has read Shutdown and exited; waiting for that lets an external
+    // worker finish its last write (a final BatchDone) before this
+    // process exits under it. Spawned workers are also reaped below.
+    let mut open = daemon.sched.shutdown_workers();
+    let deadline = Instant::now() + coord::REAP_TIMEOUT;
+    while !open.is_empty() {
+        match events_rx.recv_timeout(deadline.saturating_duration_since(Instant::now())) {
+            Ok(Event::Disconnected { id }) => open.retain(|&worker| worker != id),
+            Ok(_) => {}
+            Err(_) => break,
+        }
+    }
     stop.store(true, Ordering::SeqCst);
     // Unblock the accept loop so its thread exits.
     let _ = TcpStream::connect(&local_addr);

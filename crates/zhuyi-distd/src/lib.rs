@@ -14,10 +14,11 @@
 //!   [`coord::run_distributed`], which runs one plan as a one-plan
 //!   daemon; its `--checkpoint` is a one-plan [`journal`], and a file in
 //!   the old pre-journal checkpoint format is refused;
-//! - [`worker`] — the worker loop (`fleet_shard`, or `fleet_sweep
-//!   --connect` on another host) executing jobs through the fleet
-//!   engine's metrics-only [`zhuyi_fleet::exec`] path;
-//! - [`cli`] — shared parsing/validation of the distribution flags;
+//! - [`worker`] — the worker loop (`fleet_shard --connect`, spawned by
+//!   a coordinator or started on another host) executing jobs through
+//!   the fleet engine's metrics-only [`zhuyi_fleet::exec`] path;
+//! - [`cli`] — the value parsers the sweep binaries share (which flags
+//!   each `fleet_sweep` role reads is one table in that binary);
 //! - [`faultnet`] — deterministic seeded fault injection over the wire
 //!   (chaos testing that replays exactly);
 //! - [`quarantine`] — the poisoned-job manifest behind the scheduler's

@@ -28,6 +28,7 @@
 //! `poison_job`, `wedge_job`, `corrupt_job`, `slow_start`) are test
 //! fault hooks; see [`WorkerOptions`].
 
+use crate::daemon::HEARTBEAT_INTERVAL;
 use crate::faultnet::{ChaosSpec, FaultTransport};
 use crate::wire::{self, Frame, JobError, JobErrorKind, PROTOCOL_VERSION};
 use std::cell::{Cell, RefCell};
@@ -95,8 +96,6 @@ pub struct WorkerOptions {
     /// Test hook: sleep this long before connecting, pinning the order
     /// of worker startup against coordinator-side events in tests.
     pub slow_start: Option<Duration>,
-    /// Heartbeat period (default 1s).
-    pub heartbeat_interval: Duration,
 }
 
 impl WorkerOptions {
@@ -112,7 +111,6 @@ impl WorkerOptions {
             wedge_job: None,
             corrupt_job: None,
             slow_start: None,
-            heartbeat_interval: Duration::from_secs(1),
         }
     }
 }
@@ -334,9 +332,8 @@ pub fn run_worker(options: &WorkerOptions) -> Result<u64, WorkerError> {
         let writer = Arc::clone(&writer);
         let registry = registry.clone();
         let last_beat = Arc::clone(&last_beat);
-        let interval = options.heartbeat_interval;
         std::thread::spawn(move || loop {
-            std::thread::sleep(interval);
+            std::thread::sleep(HEARTBEAT_INTERVAL);
             let mut w = writer.lock().expect("writer poisoned");
             if let Some(reg) = &registry {
                 reg.inc(Counter::HeartbeatsSent);

@@ -116,8 +116,8 @@ fn malformed_workers_values_are_rejected() {
 
 #[test]
 fn malformed_connect_addresses_are_rejected() {
-    assert_rejected(&fleet_sweep(&["--connect", "127.0.0.1"]), "host:port");
-    assert_rejected(&fleet_sweep(&["--connect", "not an address"]), "--connect");
+    assert_rejected(&fleet_shard(&["--connect", "127.0.0.1"]), "host:port");
+    assert_rejected(&fleet_shard(&["--connect", "not an address"]), "--connect");
     assert_rejected(&fleet_shard(&["--connect", "nohost:"]), "--connect");
     assert_rejected(&fleet_shard(&[]), "--connect");
 }
@@ -142,15 +142,11 @@ fn conflicting_distribution_flags_are_rejected() {
     );
     assert_rejected(&fleet_sweep(&["--batch", "4"]), "requires --dist");
     assert_rejected(
-        &fleet_sweep(&["--dist", "--connect", "127.0.0.1:7700"]),
-        "--dist",
-    );
-    assert_rejected(
-        &fleet_sweep(&["--connect", "127.0.0.1:7700", "--json", "out.json"]),
+        &fleet_shard(&["--connect", "127.0.0.1:7700", "--json", "out.json"]),
         "--json",
     );
     assert_rejected(
-        &fleet_sweep(&["--connect", "127.0.0.1:7700", "--mode", "msf"]),
+        &fleet_shard(&["--connect", "127.0.0.1:7700", "--mode", "msf"]),
         "--mode",
     );
     assert_rejected(&fleet_sweep(&["--dist", "--batch", "0"]), "--batch");
@@ -184,10 +180,10 @@ fn per_rate_is_rejected_where_it_would_be_ignored() {
         &fleet_sweep(&["--mode", "probe", "--per-rate"]),
         "--per-rate",
     );
-    // A --connect worker receives its options from the coordinator with
-    // every Assign frame; a local flag would be dead.
+    // A worker receives its options from the coordinator with every
+    // Assign frame; a local flag would be dead.
     assert_rejected(
-        &fleet_sweep(&["--connect", "127.0.0.1:7700", "--per-rate"]),
+        &fleet_shard(&["--connect", "127.0.0.1:7700", "--per-rate"]),
         "--per-rate",
     );
 }
@@ -240,15 +236,10 @@ fn chaos_and_verify_flags_require_dist() {
         &fleet_sweep(&["--dist", "--chaos-profile", "storm"]),
         "--chaos-seed",
     );
-    // A --connect worker takes its faults from fleet_shard flags, not
-    // these coordinator knobs.
+    // A worker has its own fault flags, not these coordinator knobs.
     assert_rejected(
-        &fleet_sweep(&["--connect", "127.0.0.1:7700", "--chaos-seed", "7"]),
-        "coordinator",
-    );
-    assert_rejected(
-        &fleet_sweep(&["--connect", "127.0.0.1:7700", "--verify-fraction", "1"]),
-        "coordinator",
+        &fleet_shard(&["--connect", "127.0.0.1:7700", "--verify-fraction", "1"]),
+        "--verify-fraction",
     );
 }
 
@@ -294,8 +285,8 @@ fn telemetry_flags_are_cross_validated() {
         "--metrics-listen",
     );
     assert_rejected(&fleet_sweep(&["--telemetry-out"]), "expects a value");
-    // A --connect worker inherits telemetry from the Welcome handshake;
-    // local flags would be dead.
+    // A worker inherits telemetry from the Welcome handshake; local
+    // flags would be dead.
     for flag in [
         &["--telemetry"][..],
         &["--telemetry-out", "t.json"][..],
@@ -303,7 +294,7 @@ fn telemetry_flags_are_cross_validated() {
     ] {
         let mut args = vec!["--connect", "127.0.0.1:7700"];
         args.extend_from_slice(flag);
-        assert_rejected(&fleet_sweep(&args), "coordinator");
+        assert_rejected(&fleet_shard(&args), flag[0]);
     }
 }
 
@@ -389,6 +380,21 @@ fn submit_mode_flags_are_cross_validated() {
     assert_rejected(&submit(&["--journal", "fj.j"]), "--journal");
     assert_rejected(&submit(&["--max-queue", "4"]), "--max-queue");
     assert_rejected(&submit(&["--telemetry"]), "--telemetry");
+    // The daemon sizes its own fleet.
+    assert_rejected(&submit(&["--workers", "4"]), "--workers");
+    // A drain carries no plan and exports nothing.
+    assert_rejected(
+        &submit(&[
+            "--drain",
+            "--mode",
+            "probe",
+            "--variants",
+            "5",
+            "--csv",
+            "x.csv",
+        ]),
+        "--submit --drain",
+    );
     // Retry knob values are validated.
     assert_rejected(&submit(&["--retry-max", "many"]), "--retry-max");
     assert_rejected(&submit(&["--retry-base-ms", "0"]), "--retry-base-ms");
@@ -402,7 +408,7 @@ fn submit_mode_flags_are_cross_validated() {
         &fleet_sweep(&["--retry-base-ms", "50"]),
         "requires --submit",
     );
-    // And a --connect worker rejects the whole daemon/client family.
+    // And a worker rejects the whole daemon/client family.
     for extra in [
         &["--daemon"][..],
         &["--submit", "127.0.0.1:7701"][..],
@@ -412,7 +418,7 @@ fn submit_mode_flags_are_cross_validated() {
     ] {
         let mut args = vec!["--connect", "127.0.0.1:7700"];
         args.extend_from_slice(extra);
-        assert_rejected(&fleet_sweep(&args), "--connect worker");
+        assert_rejected(&fleet_shard(&args), extra[0]);
     }
 }
 
@@ -476,10 +482,10 @@ fn scenario_registry_flags_are_validated() {
         "the overlap error must name the road: {stderr}"
     );
 
-    // A --connect worker has no plan of its own; registry flags are
-    // plan-shaping and must be rejected like the rest.
+    // A worker has no plan of its own; registry flags are plan-shaping
+    // and must be rejected like the rest.
     assert_rejected(
-        &fleet_sweep(&["--connect", "127.0.0.1:7700", "--scenario-dir", catalog]),
+        &fleet_shard(&["--connect", "127.0.0.1:7700", "--scenario-dir", catalog]),
         "--scenario-dir",
     );
 }

@@ -58,6 +58,7 @@ fn spawn_daemon(addr: &str, journal: &Path, workers: usize, extra: &[&str]) -> C
         &workers.to_string(),
     ])
     .args(extra)
+    .current_dir(journal.parent().expect("the journal lives in a directory"))
     .stdout(Stdio::null())
     .stderr(Stdio::null());
     cmd.spawn().expect("spawn daemon")
@@ -413,6 +414,129 @@ fn run_via_daemon_matches_single_process_and_drains_cleanly() {
     let plans = journal::replay(&journal::load(&journal_path).expect("journal replays"));
     assert_eq!(plans.len(), 1);
     assert!(plans[0].completed && plans[0].fetched && !plans[0].live());
+}
+
+/// Whether `text` is exactly one well-formed JSON value.
+fn is_json(text: &str) -> bool {
+    fn skip_ws(b: &[u8], i: &mut usize) {
+        while b.get(*i).is_some_and(|c| b" \t\n\r".contains(c)) {
+            *i += 1;
+        }
+    }
+    fn string(b: &[u8], i: &mut usize) -> bool {
+        *i += 1;
+        while let Some(&c) = b.get(*i) {
+            *i += 1;
+            match c {
+                b'"' => return true,
+                b'\\' => *i += 1,
+                c if c < 0x20 => return false,
+                _ => {}
+            }
+        }
+        false
+    }
+    fn value(b: &[u8], i: &mut usize) -> bool {
+        skip_ws(b, i);
+        let ok = match b.get(*i) {
+            Some(&open @ (b'{' | b'[')) => {
+                let close = if open == b'{' { b'}' } else { b']' };
+                *i += 1;
+                skip_ws(b, i);
+                if b.get(*i) == Some(&close) {
+                    *i += 1;
+                    true
+                } else {
+                    loop {
+                        if open == b'{' {
+                            skip_ws(b, i);
+                            if !(b.get(*i) == Some(&b'"') && string(b, i)) {
+                                break false;
+                            }
+                            skip_ws(b, i);
+                            if b.get(*i) != Some(&b':') {
+                                break false;
+                            }
+                            *i += 1;
+                        }
+                        if !value(b, i) {
+                            break false;
+                        }
+                        match b.get(*i) {
+                            Some(b',') => *i += 1,
+                            Some(&c) if c == close => {
+                                *i += 1;
+                                break true;
+                            }
+                            _ => break false,
+                        }
+                    }
+                }
+            }
+            Some(b'"') => string(b, i),
+            Some(_) => {
+                let start = *i;
+                while b
+                    .get(*i)
+                    .is_some_and(|c| c.is_ascii_alphanumeric() || b"+-.".contains(c))
+                {
+                    *i += 1;
+                }
+                let token = std::str::from_utf8(&b[start..*i]).unwrap_or("");
+                matches!(token, "true" | "false" | "null")
+                    || (token.parse::<f64>().is_ok_and(f64::is_finite) && !token.starts_with('+'))
+            }
+            None => false,
+        };
+        skip_ws(b, i);
+        ok
+    }
+    let mut i = 0;
+    value(text.as_bytes(), &mut i) && i == text.len()
+}
+
+/// A daemon started with `--telemetry` writes its folded snapshot when
+/// it drains: `results/telemetry.json` under its working directory,
+/// valid JSON whose deterministic job count is the plan's.
+#[test]
+fn drained_daemon_writes_its_telemetry() {
+    assert!(is_json(
+        r#" {"a": [1, -2.5e3, true, null, "x\"y"], "b": {}} "#
+    ));
+    assert!(!is_json(r#"{"a":}"#) && !is_json("{} {}") && !is_json("[1,]"));
+    let dir = tmp_dir("telemetry");
+    let journal_path = dir.join("fleet.journal");
+    let addr = free_addr();
+    // One worker, so no job is executed twice and the count is exact.
+    let mut daemon = spawn_daemon(&addr, &journal_path, 1, &["--telemetry"]);
+    wait_ready(&addr);
+
+    let cfg = client_config(&addr, "client-telemetry", 3);
+    let plan = SweepPlan::builder()
+        .scenarios([ScenarioId::CutOut, ScenarioId::VehicleFollowing])
+        .jittered_variants(2)
+        .probe(4.0, false)
+        .build();
+    client::run_via_daemon(&cfg, &plan, ExecOptions::default()).expect("submit + wait + fetch");
+    client::drain(&cfg).expect("drain");
+    let status = wait_exit(&mut daemon);
+    assert!(status.success(), "drained daemon must exit 0: {status:?}");
+
+    let text = std::fs::read_to_string(dir.join("results").join("telemetry.json"))
+        .expect("the daemon writes results/telemetry.json on drain");
+    assert!(is_json(&text), "the telemetry artifact is not JSON: {text}");
+    // deterministic.counters is the first "counters" object in the file.
+    let deterministic = &text[text.find("\"deterministic\"").expect("deterministic")..];
+    let counters = &deterministic[deterministic.find("\"counters\":{").expect("counters")..];
+    let counters = &counters[..counters.find('}').expect("a closed object")];
+    let jobs: usize = counters
+        .split("\"jobs_executed\":")
+        .nth(1)
+        .and_then(|tail| tail.split(',').next())
+        .and_then(|count| count.trim().parse().ok())
+        .expect("deterministic.counters.jobs_executed");
+    assert_eq!(jobs, plan.len(), "every job of the plan, executed once");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// A draining daemon must still respawn a crashed worker: with drain

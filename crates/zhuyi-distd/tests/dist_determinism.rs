@@ -6,13 +6,16 @@
 //! alongside these tests), talking to the coordinator over loopback TCP.
 
 use std::path::PathBuf;
+use std::process::{Child, Command, Stdio};
+use std::time::{Duration, Instant};
 use zhuyi_distd::journal;
 use zhuyi_distd::wire::{self, Frame};
 use zhuyi_distd::{
     plan_fingerprint, run_distributed, DistConfig, DistError, JournalError, PROTOCOL_VERSION,
 };
 use zhuyi_fleet::{
-    run_sweep, ExecOptions, JobId, JobKind, JobSpec, RateSpec, ResultStore, SweepJob, SweepPlan,
+    run_sweep, ExecOptions, JobId, JobKind, JobResult, JobSpec, RateSpec, ResultStore, SweepJob,
+    SweepPlan,
 };
 
 use av_scenarios::catalog::ScenarioId;
@@ -360,4 +363,152 @@ fn generated_corpus_sweeps_identically_distributed_and_single_process() {
         "generated-corpus distributed exports diverged from the single-process sweep"
     );
     assert_eq!(report.stats.executed_jobs, plan.len());
+}
+
+#[test]
+fn external_workers_export_single_process_bytes_and_exit_cleanly() {
+    // The multi-host shape as real processes: `fleet_sweep --dist
+    // --workers 0 --listen` and two `fleet_shard --connect` workers. The
+    // exports must equal the single-process bytes and every process must
+    // exit 0: the coordinator waits for each worker's session to close
+    // before it exits, so no worker's last write meets a closed socket.
+    // (An in-process `run_distributed` cannot show this: its sessions'
+    // sockets outlive the call.)
+    let plan = SweepPlan::builder()
+        .jittered_variants(3)
+        .min_safe_fpr(vec![1, 4, 30])
+        .build();
+    let single = run_sweep(&plan, 1);
+    let dir = tmp_dir("external");
+    let spawn = |binary: PathBuf, args: &[&str]| {
+        Command::new(binary)
+            .args(args)
+            .current_dir(&dir)
+            .stdout(Stdio::null())
+            .spawn()
+            .expect("spawn")
+    };
+    for round in 0..8 {
+        // Reserve a loopback port for the coordinator.
+        let addr = std::net::TcpListener::bind("127.0.0.1:0")
+            .and_then(|listener| listener.local_addr())
+            .expect("reserve a port")
+            .to_string();
+        let mut coordinator = spawn(
+            PathBuf::from(env!("CARGO_BIN_EXE_fleet_sweep")),
+            &[
+                "--variants",
+                "3",
+                "--rates",
+                "1,4,30",
+                "--dist",
+                "--workers",
+                "0",
+                "--listen",
+                &addr,
+                "--csv",
+                "ext.csv",
+                "--json",
+                "ext.json",
+            ],
+        );
+        // Start the workers once the coordinator listens, so both join.
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while std::net::TcpStream::connect(&addr).is_err() {
+            assert!(
+                Instant::now() < deadline && coordinator.try_wait().expect("poll").is_none(),
+                "round {round}: the coordinator never listened on {addr}"
+            );
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        let workers: Vec<Child> = (0..2)
+            .map(|_| spawn(worker_binary(), &["--connect", &addr]))
+            .collect();
+        let status = coordinator.wait().expect("coordinator exit");
+        assert!(status.success(), "round {round}: coordinator {status:?}");
+        for mut worker in workers {
+            let status = worker.wait().expect("worker exit");
+            assert!(status.success(), "round {round}: worker {status:?}");
+        }
+        let read = |name: &str| std::fs::read_to_string(dir.join("results").join(name));
+        assert_eq!(
+            read("ext.csv").expect("csv"),
+            single.to_csv(),
+            "round {round}"
+        );
+        assert_eq!(
+            read("ext.json").expect("json"),
+            single.to_json(),
+            "round {round}"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn coordinator_outlives_an_open_worker_session() {
+    // A worker that delivers every result, then holds its final
+    // BatchDone back: the coordinator process must still be up when the
+    // worker writes it, and exit 0 once the worker hangs up.
+    let dir = tmp_dir("held-session");
+    let addr = std::net::TcpListener::bind("127.0.0.1:0")
+        .and_then(|listener| listener.local_addr())
+        .expect("reserve a port")
+        .to_string();
+    let mut coordinator = Command::new(env!("CARGO_BIN_EXE_fleet_sweep"))
+        .args(["--mode", "probe", "--scenarios", "5", "--variants", "1"])
+        .args(["--dist", "--workers", "0", "--listen", &addr])
+        .current_dir(&dir)
+        .stdout(Stdio::null())
+        .spawn()
+        .expect("spawn coordinator");
+    let deadline = Instant::now() + Duration::from_secs(30);
+    let mut stream = loop {
+        match std::net::TcpStream::connect(&addr) {
+            Ok(stream) => break stream,
+            Err(e) => assert!(Instant::now() < deadline, "never listened: {e}"),
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    };
+    stream
+        .set_read_timeout(Some(Duration::from_secs(60)))
+        .expect("read timeout");
+    let hello = Frame::Hello {
+        version: PROTOCOL_VERSION,
+        spawned: false,
+        name: "held".into(),
+    };
+    wire::write_frame(&mut stream, &hello).expect("hello");
+    assert!(matches!(
+        wire::read_frame(&mut stream).expect("welcome"),
+        Frame::Welcome { .. }
+    ));
+    let Frame::Assign {
+        batch,
+        options,
+        jobs,
+    } = wire::read_frame(&mut stream).expect("assign")
+    else {
+        panic!("expected the plan's one shard");
+    };
+    for job in jobs {
+        let outcome = zhuyi_fleet::exec::execute_with(&job.spec, options);
+        let result = Box::new(JobResult { job, outcome });
+        wire::write_frame(&mut stream, &Frame::Result { result }).expect("result");
+    }
+    // Every result is in, so the plan is complete and Shutdown is sent.
+    std::thread::sleep(Duration::from_millis(500));
+    assert!(
+        coordinator.try_wait().expect("poll").is_none(),
+        "the coordinator exited under an open worker session"
+    );
+    wire::write_frame(&mut stream, &Frame::BatchDone { batch }).expect("final BatchDone");
+    while !matches!(
+        wire::read_frame(&mut stream).expect("shutdown"),
+        Frame::Shutdown
+    ) {}
+    drop(stream);
+    let status = coordinator.wait().expect("coordinator exit");
+    assert!(status.success(), "coordinator {status:?}");
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -136,39 +136,43 @@ impl Probe<'_> {
 /// Panics if `candidates` is empty or not strictly ascending.
 pub fn min_safe_fpr(scenario: &Scenario, candidates: &[u32]) -> MsfSearch {
     check_grid(candidates);
-    let n = candidates.len();
     let mut probe = Probe {
         context: SweepContext::new(scenario),
         candidates,
-        evals: vec![None; n],
+        evals: vec![None; candidates.len()],
         sims_run: 0,
     };
+    let highest_unsafe = search_schedule(candidates.len(), |index| probe.safe_at(index));
+    answer(candidates, highest_unsafe, probe.sims_run)
+}
 
-    // Phase 1 — binary localization: the first-safe index under a
-    // monotonicity reading. Invariant: when `lo > 0`, index `lo - 1` was
-    // evaluated unsafe.
+/// The search schedule over `n` ascending candidates, with `safe_at`
+/// the safety oracle; returns the highest unsafe index.
+///
+/// Phase 1, binary localization, finds the first safe index under a
+/// monotonicity reading. Invariant: when `lo > 0`, index `lo - 1` was
+/// read unsafe. Phase 2, verification, reads every candidate from `lo`
+/// up. The highest unsafe index is therefore exactly the exhaustive
+/// scan's: any candidate never read sits below `lo - 1` and cannot raise
+/// it. An index may be read more than once; the callers memoize.
+fn search_schedule(n: usize, mut safe_at: impl FnMut(usize) -> bool) -> Option<usize> {
     let mut lo = 0usize;
     let mut hi = n;
     while lo < hi {
         let mid = lo + (hi - lo) / 2;
-        if probe.safe_at(mid) {
+        if safe_at(mid) {
             hi = mid;
         } else {
             lo = mid + 1;
         }
     }
-
-    // Phase 2 — verification: evaluate every candidate from `lo` up
-    // (memoized). The answer is the candidate above the *highest* unsafe
-    // index, exactly like the exhaustive scan; any unevaluated candidate
-    // sits below `lo - 1` and therefore cannot raise it.
     let mut highest_unsafe = lo.checked_sub(1);
     for index in lo..n {
-        if !probe.safe_at(index) {
+        if !safe_at(index) {
             highest_unsafe = Some(index);
         }
     }
-    answer(candidates, highest_unsafe, probe.sims_run)
+    highest_unsafe
 }
 
 /// [`min_safe_fpr`] through the lane-batched backend: the whole candidate
@@ -179,10 +183,9 @@ pub fn min_safe_fpr(scenario: &Scenario, candidates: &[u32]) -> MsfSearch {
 /// where the wall-clock win over the per-rate search comes from.
 ///
 /// The answer — and the exported accounting — is **identical** to
-/// [`min_safe_fpr`]: the MRF falls out of the same
-/// highest-unsafe-candidate rule, and `sims_run` replays the per-rate
-/// binary-localization-plus-verification schedule over the batched
-/// verdict table, charging exactly the candidates that search would have
+/// [`min_safe_fpr`]: the same search schedule runs over the batched
+/// verdict table, and `sims_run` counts the distinct candidates it
+/// reads, exactly the candidates the per-rate search would have
 /// simulated. Pinned by this module's tests and the fleet batched
 /// equivalence suite.
 ///
@@ -197,8 +200,13 @@ pub fn min_safe_fpr_batched(scenario: &Scenario, candidates: &[u32]) -> MsfSearc
         .into_iter()
         .map(|collided| !collided)
         .collect();
-    let highest_unsafe = safe.iter().rposition(|&s| !s);
-    answer(candidates, highest_unsafe, replayed_sims_run(&safe))
+    let mut read = vec![false; safe.len()];
+    let highest_unsafe = search_schedule(safe.len(), |index| {
+        read[index] = true;
+        safe[index]
+    });
+    let sims_run = read.iter().filter(|&&r| r).count() as u32;
+    answer(candidates, highest_unsafe, sims_run)
 }
 
 /// Panics unless `candidates` is a nonempty, strictly ascending grid.
@@ -227,37 +235,6 @@ fn answer(candidates: &[u32], highest_unsafe: Option<usize>, sims_run: u32) -> M
         grid_min: candidates[0],
         grid_max: candidates[n - 1],
     }
-}
-
-/// The number of candidates the per-rate search would have simulated for
-/// this verdict table: the binary-localization probes plus the full
-/// verification sweep from the first-safe index up, memoized exactly as
-/// [`min_safe_fpr`] memoizes its probes.
-fn replayed_sims_run(safe: &[bool]) -> u32 {
-    let n = safe.len();
-    let mut evaluated = vec![false; n];
-    let mut count = 0u32;
-    let eval = |i: usize, evaluated: &mut [bool], count: &mut u32| {
-        if !evaluated[i] {
-            evaluated[i] = true;
-            *count += 1;
-        }
-        safe[i]
-    };
-    let mut lo = 0usize;
-    let mut hi = n;
-    while lo < hi {
-        let mid = lo + (hi - lo) / 2;
-        if eval(mid, &mut evaluated, &mut count) {
-            hi = mid;
-        } else {
-            lo = mid + 1;
-        }
-    }
-    for index in lo..n {
-        eval(index, &mut evaluated, &mut count);
-    }
-    count
 }
 
 #[cfg(test)]
