@@ -267,16 +267,19 @@ impl TolerableLatencyEstimator {
     /// approach by braking; the paper's model addresses frontal
     /// obstacles).
     ///
-    /// This is the only pass that queries the future at scan instants:
-    /// it records the gap at each one before `reach` for the pre-reaction
-    /// guard, which reads no later instant. An instant the future proves
-    /// quiet ([`ActorFuture::prove_span`]) is inactive without a query.
-    /// One it proves active at or past `reach`, inside an interval that is
-    /// already open, is active without a query: no check reads its gap.
-    /// The instant that opens an interval is always queried, since the
-    /// frontal test reads its gap. A skipped instant still counts as a
-    /// constraint evaluation, so the §4.2 compute basis does not depend on
-    /// the proof.
+    /// This is the only pass that queries the future at scan instants, and
+    /// it asks only for the gap and the corridor bit
+    /// ([`ActorFuture::gap_at`]): it records the gap at each one before
+    /// `reach` for the pre-reaction guard, which reads no later instant.
+    /// An instant the future proves quiet ([`ActorFuture::prove_span`]) is
+    /// inactive without a query. One it proves active at or past `reach`,
+    /// inside an interval that is already open, is active without a query:
+    /// no check reads its gap. The instant that opens an interval is always
+    /// queried, since the frontal test reads its gap. A verdict holds to
+    /// the end of its span ([`crate::future::ProvenSpan::until`]), so the
+    /// scan asks the future again only past it. A skipped instant still
+    /// counts as a constraint evaluation, so the §4.2 compute basis does
+    /// not depend on the proof.
     fn threat_scan(
         &self,
         ego: EgoKinematics,
@@ -289,18 +292,25 @@ impl TolerableLatencyEstimator {
         let dt = cfg.naive_timestep.value();
         let end = cfg.horizon.value();
         let mut scan = ThreatScan::default();
+        // The current span's verdict, and the instant its reach ends.
+        let (mut proof, mut until) = (SpanProof::Unproven, 0.0);
         let mut open: Option<(f64, usize, bool)> = None; // (start, first, frontal)
         let mut t = 0.0;
         while t <= end + 1e-12 {
             stats.constraint_evaluations += 1;
+            let in_span = t < until; // false for a NaN reach too
+            if !in_span {
+                let span = future.prove_span(Seconds(t), cfg.horizon);
+                (proof, until) = (span.proof, span.until.value());
+            }
             let guarded = t < reach - 1e-12; // the guard's own bound
-            let active = match future.prove_span(Seconds(t), cfg.horizon) {
+            let active = match proof {
                 SpanProof::Quiet => false,
                 SpanProof::Active if open.is_some() && !guarded => true,
                 _ => {
-                    let s = future.at(Seconds(t));
-                    let gap = s.gap.value();
-                    let active = s.in_corridor && gap >= 0.0;
+                    let (gap, in_corridor) = future.gap_at(Seconds(t));
+                    let gap = gap.value();
+                    let active = in_corridor && gap >= 0.0;
                     if active && open.is_none() {
                         let (d_unreacted, _) = distance_speed_after(v_e0, ego.accel, Seconds(t));
                         let frontal = gap >= d_unreacted.value() - 1e-9;

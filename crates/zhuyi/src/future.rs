@@ -46,6 +46,23 @@ pub enum SpanProof {
     Active,
 }
 
+/// A [`SpanProof`] and how far it reaches.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ProvenSpan {
+    /// The verdict on the queried instant `tn`.
+    pub proof: SpanProof,
+    /// Every instant `t'` with `tn ≤ t' < until` has the same verdict. An
+    /// `until` at or before `tn` reaches no further instant.
+    pub until: Seconds,
+}
+
+impl ProvenSpan {
+    /// A verdict on the instant `tn` alone.
+    pub fn instant(proof: SpanProof, tn: Seconds) -> Self {
+        Self { proof, until: tn }
+    }
+}
+
 /// One predicted future of one actor, as seen from the ego at t₀.
 ///
 /// Times are relative: `at(Seconds(0.5))` is the state half a second after
@@ -54,20 +71,30 @@ pub trait ActorFuture {
     /// The actor's relative state at future offset `tn ≥ 0`.
     fn at(&self, tn: Seconds) -> RelativeState;
 
+    /// The gap and the corridor bit of [`ActorFuture::at`], for a caller
+    /// that reads nothing else. An override must return both bit for bit;
+    /// the default reads `at`.
+    fn gap_at(&self, tn: Seconds) -> (Meters, bool) {
+        let s = self.at(tn);
+        (s.gap, s.in_corridor)
+    }
+
     /// Probability mass of this future within the actor's prediction set
     /// `T` (Eq. 4). Defaults to certainty.
     fn probability(&self) -> f64 {
         1.0
     }
 
-    /// What this future proves about the span that contains `tn`. A span
-    /// may be a single instant. [`SpanProof::Quiet`] promises that `at(tn)`
-    /// is inactive and [`SpanProof::Active`] that it is active, so a caller
-    /// that needs only that bit may skip the query. `horizon` is the
-    /// caller's last instant and bounds a span that would otherwise run on
-    /// forever. The default proves nothing.
-    fn prove_span(&self, _tn: Seconds, _horizon: Seconds) -> SpanProof {
-        SpanProof::Unproven
+    /// What this future proves about the span that contains `tn`, and how
+    /// far that span reaches. A span may be a single instant.
+    /// [`SpanProof::Quiet`] promises that `at(tn)` is inactive and
+    /// [`SpanProof::Active`] that it is active, so a caller that needs only
+    /// that bit may skip the query; [`ProvenSpan::until`] extends the
+    /// promise to the later instants of the span. `horizon` is the caller's
+    /// last instant and bounds a span that would otherwise run on forever.
+    /// The default proves nothing.
+    fn prove_span(&self, tn: Seconds, _horizon: Seconds) -> ProvenSpan {
+        ProvenSpan::instant(SpanProof::Unproven, tn)
     }
 }
 
@@ -218,6 +245,11 @@ impl ActorFuture for ConstantAccelActor {
 /// value against one threshold. The scan visits pieces in order, so only
 /// the current piece's verdict is kept.
 ///
+/// A quiet or active verdict reaches to the piece's end, less
+/// `REACH_MARGIN` (see [`ProvenSpan::until`]): the first sample's time
+/// for the head, the next sample's for a segment, the horizon for the
+/// tail, each relative to t₀.
+///
 /// On any other path each instant is decided alone: the span is the
 /// instant itself, and it is quiet or unproven, never active.
 /// [`Path::lateral_bounds`] bounds the lateral offset that
@@ -316,6 +348,39 @@ impl<'a> TrajectoryFuture<'a> {
         }
     }
 
+    /// How far a quiet or active verdict on `piece` reaches, relative to
+    /// t₀ (see `REACH_MARGIN`), or `None` outside `REACH_RANGE`.
+    fn reach(&self, piece: Piece, horizon: Seconds) -> Option<Seconds> {
+        let points = self.trajectory.points();
+        let end = match piece {
+            Piece::Head => points[0].time,
+            Piece::Segment(i) => points[i + 1].time,
+            Piece::Tail => self.t0 + horizon,
+        };
+        (self.t0.value().abs() <= REACH_RANGE && end.value().abs() <= REACH_RANGE)
+            .then(|| end - self.t0 - Seconds(REACH_MARGIN))
+    }
+
+    /// The sample at `tn` and its projection onto the path, seeded by (and
+    /// refreshing) the cursor and `hint`: the query [`ActorFuture::at`]
+    /// and [`ActorFuture::gap_at`] share.
+    fn locate(&self, tn: Seconds, hint: &mut ProjectionHint) -> (TrajectoryPoint, FrenetPose) {
+        let mut cursor = self.cursor.get();
+        let sample = self
+            .trajectory
+            .sample_with_cursor(self.t0 + tn, &mut cursor);
+        self.cursor.set(cursor);
+        (sample, self.path.project_with_hint(sample.position, hint))
+    }
+
+    /// The gap and the corridor bit of an actor at `frenet`.
+    fn gap_of(&self, frenet: FrenetPose) -> (Meters, bool) {
+        (
+            frenet.s - self.ego_s0 - self.length_allowance,
+            (frenet.d - self.ego_d0).abs() <= self.corridor_half_width,
+        )
+    }
+
     /// Whether the actor is outside the corridor at `tn` alone: the
     /// interval [`Path::lateral_bounds`] gives for the sampled position
     /// lies past one corridor edge by `QUIET_MARGIN` (see the type docs).
@@ -355,6 +420,23 @@ fn within_quiet_range(p: Vec2) -> bool {
     p.x.abs() <= QUIET_RANGE && p.y.abs() <= QUIET_RANGE
 }
 
+/// How far, in seconds, a verdict's reach stops short of its piece's end.
+/// It absorbs the rounding between a relative instant `t'` and the
+/// absolute time `t0 + t'` that [`Trajectory::piece_at`] compares: with
+/// the relative end `e = T − t0` of a piece ending at `T`, an instant
+/// `t' < e − REACH_MARGIN` has `t0 + t' ≤ t0 + (e − REACH_MARGIN)`, as
+/// rounding is monotone, and that sum lies within three roundings of
+/// `T − REACH_MARGIN`. Inside `REACH_RANGE` every one of those values
+/// stays below 2¹⁸ s, where one rounding costs at most 2⁻³⁶ s ≈ 1.5e-11 s,
+/// so the instant stays before `T`. Its start needs no margin: `t' ≥ tn`
+/// puts `t0 + t'` at or after `t0 + tn`.
+const REACH_MARGIN: f64 = 1e-9;
+
+/// The time range, in seconds, inside which `REACH_MARGIN` is justified:
+/// for a larger (or non-finite) t₀ or piece end a verdict reaches no
+/// further than its instant.
+const REACH_RANGE: f64 = 1e5;
+
 /// The verdict on one trajectory piece, for one horizon (which bounds the
 /// tail).
 #[derive(Debug, Clone, Copy)]
@@ -362,38 +444,55 @@ struct PieceProof {
     piece: Piece,
     end: f64,
     proof: SpanProof,
+    /// The relative time the verdict reaches ([`ProvenSpan::until`]), or
+    /// `None` when it reaches no further than its instant.
+    until: Option<Seconds>,
+}
+
+impl PieceProof {
+    /// The verdict on the instant `tn` of the piece.
+    fn span(&self, tn: Seconds) -> ProvenSpan {
+        ProvenSpan {
+            proof: self.proof,
+            until: self.until.unwrap_or(tn),
+        }
+    }
 }
 
 impl ActorFuture for TrajectoryFuture<'_> {
     fn at(&self, tn: Seconds) -> RelativeState {
-        let mut cursor = self.cursor.get();
-        let sample = self
-            .trajectory
-            .sample_with_cursor(self.t0 + tn, &mut cursor);
-        self.cursor.set(cursor);
         let mut hint = self.hint.get();
-        let frenet = self.path.project_with_hint(sample.position, &mut hint);
+        let (sample, frenet) = self.locate(tn, &mut hint);
         let tangent = self.path.frame_at_hinted(frenet.s, &mut hint).heading;
         self.hint.set(hint);
         let along = sample.speed.value() * (sample.heading - tangent).normalized().cos();
+        let (gap, in_corridor) = self.gap_of(frenet);
         RelativeState {
-            gap: frenet.s - self.ego_s0 - self.length_allowance,
+            gap,
             speed_along: MetersPerSecond(along),
-            in_corridor: (frenet.d - self.ego_d0).abs() <= self.corridor_half_width,
+            in_corridor,
         }
+    }
+
+    fn gap_at(&self, tn: Seconds) -> (Meters, bool) {
+        let mut hint = self.hint.get();
+        let (_, frenet) = self.locate(tn, &mut hint);
+        self.hint.set(hint);
+        self.gap_of(frenet)
     }
 
     fn probability(&self) -> f64 {
         self.trajectory.probability()
     }
 
-    fn prove_span(&self, tn: Seconds, horizon: Seconds) -> SpanProof {
+    fn prove_span(&self, tn: Seconds, horizon: Seconds) -> ProvenSpan {
         if !self.affine_chart {
-            return if self.instant_is_quiet(tn) {
+            let proof = if self.instant_is_quiet(tn) {
                 SpanProof::Quiet
             } else {
                 SpanProof::Unproven
             };
+            return ProvenSpan::instant(proof, tn);
         }
         // The same absolute time, and so the same piece, that `at` samples.
         let t = self.t0 + tn;
@@ -403,11 +502,11 @@ impl ActorFuture for TrajectoryFuture<'_> {
         self.cursor.set(cursor);
         let within_horizon = t.value() <= end; // false for a NaN horizon too
         if piece == Piece::Tail && !within_horizon {
-            return SpanProof::Unproven; // past the bounded ray
+            return ProvenSpan::instant(SpanProof::Unproven, tn); // past the bounded ray
         }
         if let Some(v) = self.proof.get() {
             if v.piece == piece && v.end.to_bits() == end.to_bits() {
-                return v.proof;
+                return v.span(tn);
             }
         }
         let points = self.trajectory.points();
@@ -420,8 +519,18 @@ impl ActorFuture for TrajectoryFuture<'_> {
             ),
         };
         let proof = self.prove_segment(a, b);
-        self.proof.set(Some(PieceProof { piece, end, proof }));
-        proof
+        let until = match proof {
+            SpanProof::Unproven => None,
+            SpanProof::Quiet | SpanProof::Active => self.reach(piece, horizon),
+        };
+        let v = PieceProof {
+            piece,
+            end,
+            proof,
+            until,
+        };
+        self.proof.set(Some(v));
+        v.span(tn)
     }
 }
 

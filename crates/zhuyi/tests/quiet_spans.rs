@@ -14,9 +14,9 @@
 //! nearest.
 
 use av_core::prelude::*;
-use av_core::trajectory::TrajectoryPoint;
-use std::cell::{Cell, RefCell};
-use zhuyi::future::{ActorFuture, RelativeState, SpanProof, TrajectoryFuture};
+use av_core::trajectory::{Piece, TrajectoryCursor, TrajectoryPoint};
+use std::cell::RefCell;
+use zhuyi::future::{ActorFuture, ProvenSpan, RelativeState, SpanProof, TrajectoryFuture};
 use zhuyi::{AlphaModel, EgoKinematics, SearchOutcome, TolerableLatencyEstimator, ZhuyiConfig};
 
 const L0: Seconds = Seconds(1.0 / 30.0);
@@ -42,64 +42,117 @@ struct Skips {
     active: Vec<f64>,
 }
 
+/// A future under test, with the trajectory and t₀ it was built from.
+struct Subject<'a> {
+    future: TrajectoryFuture<'a>,
+    trajectory: Trajectory,
+    t0: f64,
+}
+
+impl Subject<'_> {
+    /// The verdict at `tn` alone.
+    fn proof(&self, tn: Seconds, horizon: Seconds) -> SpanProof {
+        self.future.prove_span(tn, horizon).proof
+    }
+
+    /// The trajectory piece that answers relative instant `tn`: the piece
+    /// `at` samples.
+    fn piece(&self, tn: f64) -> Piece {
+        let t = Seconds(self.t0) + Seconds(tn);
+        self.trajectory
+            .piece_at(t, &mut TrajectoryCursor::default())
+    }
+}
+
 /// Forwards everything, records what the scan skipped, and checks every
-/// verdict against `at` at its instant.
-struct Counting<'a> {
+/// verdict against `at` at each instant it reaches, on the scan's own
+/// clock: the instant asked about, then `dt` later, and so on while before
+/// [`ProvenSpan::until`], past the horizon too. Each of those instants
+/// must also lie in the asked instant's trajectory piece, which is the
+/// reach's promise, and a tail's reach must end by the horizon.
+struct Counting<'a, 's> {
+    subject: &'s Subject<'a>,
     inner: TrajectoryFuture<'a>,
     /// A copy that answers the checks, leaving `inner`'s hint and cursor
     /// where the scan left them.
     oracle: TrajectoryFuture<'a>,
+    /// The scan's timestep.
+    dt: f64,
     skips: RefCell<Skips>,
-    /// The instant of the last active verdict, until `at` queries it.
-    pending: Cell<Option<f64>>,
+    /// The instants of the last active span, until the scan queries them.
+    pending: RefCell<Vec<f64>>,
 }
 
-impl<'a> Counting<'a> {
-    fn new(future: &TrajectoryFuture<'a>) -> Self {
+impl<'a, 's> Counting<'a, 's> {
+    fn new(subject: &'s Subject<'a>, dt: Seconds) -> Self {
         Self {
-            inner: future.clone(),
-            oracle: future.clone(),
+            subject,
+            inner: subject.future.clone(),
+            oracle: subject.future.clone(),
+            dt: dt.value(),
             skips: RefCell::default(),
-            pending: Cell::new(None),
+            pending: RefCell::default(),
         }
     }
 
-    /// Files the pending active instant as skipped: the scan moved on
-    /// without querying it.
+    /// Files the pending active instants as skipped: the scan moved on
+    /// without querying them.
     fn settle(&self) {
-        if let Some(t) = self.pending.take() {
-            self.skips.borrow_mut().active.push(t);
-        }
+        let pending = self.pending.take();
+        self.skips.borrow_mut().active.extend(pending);
     }
 }
 
-impl ActorFuture for Counting<'_> {
+impl ActorFuture for Counting<'_, '_> {
     fn at(&self, tn: Seconds) -> RelativeState {
-        if self.pending.get() == Some(tn.value()) {
-            self.pending.set(None);
-        }
         self.inner.at(tn)
     }
 
-    fn prove_span(&self, tn: Seconds, horizon: Seconds) -> SpanProof {
+    fn gap_at(&self, tn: Seconds) -> (Meters, bool) {
+        self.pending.borrow_mut().retain(|&t| t != tn.value());
+        self.inner.gap_at(tn)
+    }
+
+    fn prove_span(&self, tn: Seconds, horizon: Seconds) -> ProvenSpan {
         self.settle();
-        let proof = self.inner.prove_span(tn, horizon);
-        if proof != SpanProof::Unproven {
-            let s = self.oracle.at(tn);
-            let active = s.in_corridor && s.gap.value() >= 0.0;
-            assert_eq!(
-                active,
-                proof == SpanProof::Active,
-                "{proof:?} at t = {}, but `at` returns {s:?}",
-                tn.value()
-            );
+        let span = self.inner.prove_span(tn, horizon);
+        let mut reached = vec![tn.value()];
+        let mut t = tn.value() + self.dt;
+        // Capped, so a runaway reach fails below instead of looping.
+        while t < span.until.value() && reached.len() <= 100_000 {
+            reached.push(t);
+            t += self.dt;
         }
-        match proof {
-            SpanProof::Quiet => self.skips.borrow_mut().quiet += 1,
-            SpanProof::Active => self.pending.set(Some(tn.value())),
+        if span.proof != SpanProof::Unproven {
+            let piece = self.subject.piece(tn.value());
+            if piece == Piece::Tail {
+                assert!(span.until <= horizon, "{span:?} runs past {horizon:?}");
+            }
+            for &t in &reached {
+                let s = self.oracle.at(Seconds(t));
+                let active = s.in_corridor && s.gap.value() >= 0.0;
+                assert_eq!(
+                    active,
+                    span.proof == SpanProof::Active,
+                    "{span:?} from t = {} reaches t = {t}, but `at` returns {s:?}",
+                    tn.value()
+                );
+                assert_eq!(
+                    self.subject.piece(t),
+                    piece,
+                    "{span:?} from t = {} reaches t = {t}, past its piece",
+                    tn.value()
+                );
+            }
+        }
+        // The scan visits only the instants up to its horizon.
+        reached.retain(|&t| t <= horizon.value() + 1e-12);
+        match span.proof {
+            SpanProof::Quiet => self.skips.borrow_mut().quiet += reached.len() as u64,
+            SpanProof::Active => *self.pending.borrow_mut() = reached,
             SpanProof::Unproven => {}
         }
-        proof
+        span
     }
 }
 
@@ -161,26 +214,26 @@ fn frenet_line(path: &Path, s0: f64, d0: f64, vs: f64, vd: f64) -> Trajectory {
     trajectory(path, &samples)
 }
 
-fn future<'a>(
-    path: &'a Path,
-    ego: &VehicleState,
-    trajectory: Trajectory,
-    t0: f64,
-) -> TrajectoryFuture<'a> {
-    TrajectoryFuture::new(
+fn future<'a>(path: &'a Path, ego: &VehicleState, trajectory: Trajectory, t0: f64) -> Subject<'a> {
+    let future = TrajectoryFuture::new(
         path,
         ego,
         Dimensions::CAR,
         Dimensions::CAR,
-        trajectory,
+        trajectory.clone(),
         Seconds(t0),
         Meters(0.3),
-    )
+    );
+    Subject {
+        future,
+        trajectory,
+        t0,
+    }
 }
 
 /// [`check_with`] at the paper's config and l₀ = 1/30 s.
-fn check(case: &str, future: &TrajectoryFuture<'_>, ego: &VehicleState) -> (Skips, SearchOutcome) {
-    check_with(case, &estimator(), L0, future, ego)
+fn check(case: &str, subject: &Subject<'_>, ego: &VehicleState) -> (Skips, SearchOutcome) {
+    check_with(case, &estimator(), L0, subject, ego)
 }
 
 /// Runs `tolerable_latency` and `explain` through the skipping future and
@@ -192,12 +245,12 @@ fn check_with(
     case: &str,
     e: &TolerableLatencyEstimator,
     l0: Seconds,
-    future: &TrajectoryFuture<'_>,
+    subject: &Subject<'_>,
     ego: &VehicleState,
 ) -> (Skips, SearchOutcome) {
     let kin = EgoKinematics::from_state(ego);
-    let skipping = Counting::new(future);
-    let reference = AtOnly(future.clone());
+    let skipping = Counting::new(subject, e.config().naive_timestep);
+    let reference = AtOnly(subject.future.clone());
     let explained = e.explain(kin, &skipping, l0);
     skipping.settle();
     let skips = skipping.skips.take();
@@ -274,11 +327,11 @@ fn opposite_sides_in_the_constant_velocity_tail_are_scanned() {
     let left = trajectory(&path, &[(0.0, 45.0, 8.0, 0.0, 10.0)]);
     let f = future(&path, &ego, left, 0.0);
     let quiet = SpanProof::Quiet;
-    assert_eq!(f.prove_span(Seconds(0.5), horizon), quiet);
-    assert_eq!(f.prove_span(horizon, horizon), quiet);
-    let past = f.prove_span(Seconds(1.0 + 1e-9), horizon);
+    assert_eq!(f.proof(Seconds(0.5), horizon), quiet);
+    assert_eq!(f.proof(horizon, horizon), quiet);
+    let past = f.proof(Seconds(1.0 + 1e-9), horizon);
     assert_eq!(past, SpanProof::Unproven);
-    assert_eq!(f.prove_span(Seconds(1.0 + 1e-9), Seconds(2.0)), quiet);
+    assert_eq!(f.proof(Seconds(1.0 + 1e-9), Seconds(2.0)), quiet);
 }
 
 #[test]
@@ -459,7 +512,7 @@ fn a_piece_past_the_reach_with_one_end_behind_the_ego_is_scanned() {
         ],
     );
     let f = future(&path, &ego, oncoming, 0.0);
-    let past = |t: f64| f.prove_span(Seconds(t), Seconds(12.0));
+    let past = |t: f64| f.proof(Seconds(t), Seconds(12.0));
     assert_eq!(past(6.5), SpanProof::Active);
     assert_eq!(past(8.0), SpanProof::Unproven);
     assert_eq!(past(10.0), SpanProof::Quiet);
@@ -494,10 +547,7 @@ fn an_interval_opening_past_the_reach_queries_its_first_instant() {
             ],
         );
         let f = future(&path, &ego, cut_in, 0.0);
-        assert_eq!(
-            f.prove_span(Seconds(7.01), Seconds(12.0)),
-            SpanProof::Active
-        );
+        assert_eq!(f.proof(Seconds(7.01), Seconds(12.0)), SpanProof::Active);
         let (skips, outcome) = check(case, &f, &ego);
         assert_eq!(outcome != SearchOutcome::Unconstrained, frontal, "{case}");
         // Every instant after the opening one is skipped.
@@ -559,6 +609,101 @@ fn the_reach_follows_the_alpha_model_and_the_horizon() {
             "{case}: {}",
             skips.active.len()
         );
+    }
+}
+
+/// The scan's instants on its own clock: 0, then `dt` later, and so on,
+/// `n` of them.
+fn scan_clock(n: usize) -> Vec<f64> {
+    std::iter::successors(Some(0.0), |t| Some(t + 0.01))
+        .take(n)
+        .collect()
+}
+
+/// Lateral offsets of a car out of the corridor, on the left, and in lane.
+const OUT: f64 = 6.0;
+const IN: f64 = 0.2;
+
+#[test]
+fn verdicts_flip_exactly_at_piece_ends() {
+    // A lead 60 m ahead of a slow ego leaves and re-enters the lane every
+    // 0.8 s, each time within 1 ms, so the pieces alternate between a
+    // quiet one, a 1 ms crossing and an active one. Each piece ends
+    // `offset` after a scan instant: halfway to the next (the next instant
+    // already has the other verdict), on it (the absolute time `at`
+    // samples there is the sample time itself), or within 1e-12 s of it.
+    // t₀ is no multiple of the timestep, so the relative and absolute
+    // times round differently. The first sample lies 0.5 s after t₀, so
+    // the head is a piece of its own. The last one, at 11 s, heads into
+    // the lane and crosses it 2 ms past the horizon, so the tail is quiet
+    // only because the horizon bounds it.
+    let path = road();
+    let ego = ego_on(&path, 0.0, 0.0, 5.0, 0.0);
+    let clock = scan_clock(1201);
+    let (mut cases, mut margin_decides) = (0, 0);
+    for t0 in [0.0037, 2.345_678_9, 1_234.567_89] {
+        for offset in [0.005, 0.0, 1e-12, -1e-12, 2e-13, -2e-13] {
+            let mut samples = Vec::new();
+            let mut d = OUT;
+            for k in (50..=1050).step_by(80) {
+                // Sample times relative to t₀, as the trajectory holds them
+                // less t₀.
+                let t = t0 + clock[k] + offset - t0;
+                samples.push((t, 60.0 + 10.0 * t, d, 0.0, 10.0));
+                if offset == 0.0 && (Seconds(t0 + clock[k]) - Seconds(t0)).value() > clock[k] {
+                    margin_decides += 1;
+                }
+                d = if d == OUT { IN } else { OUT };
+                samples.push((t + 0.001, 60.0 + 10.0 * (t + 0.001), d, 0.0, 10.0));
+            }
+            // The tail: 0.02 m outside the corridor at the horizon, moving
+            // into it at 10 m/s.
+            let last = EDGE + 0.02 + 10.0 * (12.0 - 11.0);
+            samples.push((11.0, 170.0, last, -std::f64::consts::FRAC_PI_2, 10.0));
+            let absolute: Vec<_> = samples
+                .iter()
+                .map(|&(t, s, d, heading, speed)| (t0 + t, s, d, heading, speed))
+                .collect();
+            let f = future(&path, &ego, trajectory(&path, &absolute), t0);
+            let (skips, outcome) = check(&format!("t0 = {t0}, offset {offset}"), &f, &ego);
+            assert_ne!(outcome, SearchOutcome::Unconstrained, "{t0}, {offset}");
+            assert!(skips.quiet > 400, "{t0}, {offset}: {}", skips.quiet);
+            assert!(!skips.active.is_empty(), "{t0}, {offset}");
+            cases += 1;
+        }
+    }
+    assert_eq!(cases, 18);
+    // Without `REACH_MARGIN` some verdict would reach an instant of the
+    // next piece.
+    assert!(margin_decides > 0, "the margin is never needed");
+}
+
+#[test]
+fn a_single_sample_heads_a_tail_that_flips_at_once() {
+    // One sample 3.005 s after t₀, moving sideways at 10 m/s from 0.02 m
+    // beyond a corridor edge. The head holds it there; the tail carries it
+    // across the edge before the next scan instant.
+    let path = road();
+    let ego = ego_on(&path, 0.0, 0.0, 10.0, 0.0);
+    let t0 = 0.123_456_7;
+    let side = std::f64::consts::FRAC_PI_2;
+    // The quiet head skips the 301 instants from 0 to 3.00 s; the active
+    // one ends before the reach, so each of its instants is queried.
+    for (case, d, heading, quiet) in [
+        ("quiet head, entering tail", EDGE + 0.02, -side, 301),
+        ("active head, leaving tail", EDGE - 0.02, side, 0),
+    ] {
+        let one = trajectory(&path, &[(t0 + 3.005, 80.0, d, heading, 10.0)]);
+        let f = future(&path, &ego, one, t0);
+        let head = f.future.prove_span(Seconds(1.0), Seconds(12.0));
+        assert_ne!(head.proof, SpanProof::Unproven, "{case}");
+        assert!(
+            (head.until.value() - 3.005).abs() < 2e-9,
+            "{case}: {head:?}"
+        );
+        let (skips, outcome) = check(case, &f, &ego);
+        assert_ne!(outcome, SearchOutcome::Unconstrained, "{case}");
+        assert_eq!(skips.quiet, quiet, "{case}");
     }
 }
 
@@ -690,7 +835,7 @@ fn a_straight_line_prediction_drifting_off_the_arc_is_skipped() {
     let drifting = Trajectory::new(points, 1.0).expect("valid trajectory");
     let f = future(&path, &ego, drifting, 0.0);
     assert!(
-        f.prove_span(Seconds(0.0), Seconds(12.0)) == SpanProof::Unproven,
+        f.proof(Seconds(0.0), Seconds(12.0)) == SpanProof::Unproven,
         "in lane at t0"
     );
     let (Skips { quiet: skipped, .. }, outcome) = check("straight-line drift", &f, &ego);
@@ -713,9 +858,9 @@ fn instants_past_the_arc_end_are_scanned() {
     let ego = ego_on(&path, 1440.0, 0.0, 20.0, 0.0);
     let beside = future(&path, &ego, frenet_line(&path, 1460.0, 3.7, 22.0, 0.0), 0.0);
     let quiet = SpanProof::Quiet;
-    assert_eq!(beside.prove_span(Seconds(0.5), Seconds(12.0)), quiet);
+    assert_eq!(beside.proof(Seconds(0.5), Seconds(12.0)), quiet);
     assert!(
-        beside.prove_span(Seconds(4.0), Seconds(12.0)) == SpanProof::Unproven,
+        beside.proof(Seconds(4.0), Seconds(12.0)) == SpanProof::Unproven,
         "s = 1548"
     );
     let (Skips { quiet: skipped, .. }, _) = check("beside, past the end", &beside, &ego);
@@ -754,7 +899,7 @@ fn the_start_of_a_near_full_turn_is_claimed_by_the_extended_end() {
         frenet_line(&path, 3080.0, -25.0, 10.0, 0.0),
         0.0,
     );
-    let at_t0 = lead.prove_span(Seconds(0.0), Seconds(12.0));
+    let at_t0 = lead.proof(Seconds(0.0), Seconds(12.0));
     assert_eq!(at_t0, SpanProof::Unproven);
     let (Skips { quiet: skipped, .. }, outcome) = check("in lane past the end", &lead, &ego);
     assert_eq!(skipped, 0, "the extension claims every instant");
