@@ -367,13 +367,15 @@ impl TolerableLatencyEstimator {
         // at unchanged acceleration; it must not out-run the available
         // distance at any threatened instant t < t_r. Each instant is a
         // scan instant: `t` accumulates from the interval's start exactly
-        // as the scan's clock did, so `gaps[k]` is the gap at `t`.
+        // as the scan's clock did, so `gaps[k]` is the gap at `t`. The
+        // interval's last instant, `stop`, is threatened too, as
+        // `next_threat_time` reads it.
         let guard_end = t_r.value().min(cfg.horizon.value());
         let dt = cfg.naive_timestep.value();
         for interval in &scan.intervals {
             let mut t = interval.start;
             let mut k = interval.first;
-            while t < guard_end.min(interval.stop) - 1e-12 {
+            while t < guard_end - 1e-12 && t <= interval.stop + 1e-12 {
                 stats.constraint_evaluations += 1;
                 let (d, _) = distance_speed_after(v_e0, a0, Seconds(t));
                 if d.value() > cfg.c1 * scan.gaps[k] {
@@ -859,6 +861,36 @@ mod tests {
         let checks = est.stats.constraint_evaluations;
         assert_eq!(calls.len(), scan.len() + inner.len());
         assert!((calls.len() as u64) < checks, "{} vs {checks}", calls.len());
+    }
+
+    /// In the corridor from 1.0 s through 2.0 s, 100 m ahead except 40 m
+    /// at 2.0 s, and out of it before and after; never moving.
+    struct ClosesInAtTheLastInstant;
+
+    impl ActorFuture for ClosesInAtTheLastInstant {
+        fn at(&self, tn: Seconds) -> RelativeState {
+            let t = tn.value();
+            let last = (t - 2.0).abs() < 0.005;
+            RelativeState {
+                gap: Meters(if last { 40.0 } else { 100.0 }),
+                speed_along: MetersPerSecond::ZERO,
+                in_corridor: (0.995..2.005).contains(&t),
+            }
+        }
+    }
+
+    #[test]
+    fn guard_reads_the_last_instant_of_an_interval() {
+        // By 2.0 s the unreacting ego has covered 40 m, more than C1 of
+        // the 40 m gap there, so every candidate that reacts after 2.0 s
+        // fails its guard. The largest that reacts before it is 0.340 s:
+        // t_r = 0.340 + 5·(0.340 − 1/30) = 1.873 s.
+        let e = estimator();
+        let est = e.tolerable_latency(ego(20.0, 0.0), &ClosesInAtTheLastInstant, L0);
+        assert_eq!(est.outcome, SearchOutcome::Tolerable);
+        assert!((est.latency.value() - 0.340).abs() < 1e-9, "{est:?}");
+        let (_, t_r) = e.reaction_time(est.latency, L0);
+        assert!(t_r.value() < 2.0, "{t_r}");
     }
 
     #[test]

@@ -255,7 +255,7 @@ fn online_decisions_match_pinned_digest() {
     }
     assert!(total > 0);
     assert_eq!(
-        fnv.0, 0x1f39_70fe_14ed_9ebd,
+        fnv.0, 0x974b_6958_be42_74df,
         "online decision digest moved ({total} decisions)"
     );
 }
@@ -295,7 +295,7 @@ fn offline_analysis_matches_pinned_digest() {
     }
     assert!(total > 0);
     assert_eq!(
-        fnv.0, 0x14a4_8b58_d930_b20a,
+        fnv.0, 0x17b8_b5d4_ee2f_d1db,
         "offline analysis digest moved ({total} steps)"
     );
 }
