@@ -58,7 +58,7 @@ pub struct ProvenSpan {
 
 impl ProvenSpan {
     /// A verdict on the instant `tn` alone.
-    pub fn instant(proof: SpanProof, tn: Seconds) -> Self {
+    pub(crate) fn instant(proof: SpanProof, tn: Seconds) -> Self {
         Self { proof, until: tn }
     }
 }
