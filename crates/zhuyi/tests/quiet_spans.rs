@@ -1,17 +1,19 @@
 //! The threat scan skips instants a `TrajectoryFuture` proves quiet, and
-//! instants it proves active once no pre-reaction guard can read their
-//! gap. Those skips must be invisible: every estimate, explanation and
+//! instants it proves active once no pre-reaction guard can read their gap.
+//! Those skips must be invisible: every estimate, explanation and
 //! `SearchStats` equals the one computed through a wrapper that exposes
-//! only `at` (and so proves nothing), and every verdict agrees with `at`
-//! at its instant. The straight-road cases put span ends where a wrong
-//! proof would change the answer: on opposite sides of the corridor, one
-//! behind and one ahead of the ego, and within 1e-9 m of an edge, before
-//! and past the guard's reach; they open intervals past the reach, frontal
-//! and not, and vary the reach with the α model and the horizon. On arcs
-//! each instant is decided alone from the circle and never proved active;
-//! the arc cases put actors in the other lanes, off the curve, past the
-//! arc's end, and where the extended end segment rather than the circle is
-//! nearest.
+//! only `at` (and so proves nothing), and every verdict agrees with `at` at
+//! its instant and at each later instant it reaches, which must lie in the
+//! same trajectory piece. The reach cases flip the verdict exactly at piece
+//! ends, placed on, near and between scan instants. The straight-road cases
+//! put span ends where a wrong proof would change the answer: on opposite
+//! sides of the corridor, one behind and one ahead of the ego, and within
+//! 1e-9 m of an edge, before and past the guard's reach; they open
+//! intervals past the reach, frontal and not, and vary the reach with the α
+//! model and the horizon. On arcs each instant is decided alone from the
+//! circle and never proved active; the arc cases put actors in the other
+//! lanes, off the curve, past the arc's end, and where the extended end
+//! segment rather than the circle is nearest.
 
 use av_core::prelude::*;
 use av_core::trajectory::{Piece, TrajectoryCursor, TrajectoryPoint};
