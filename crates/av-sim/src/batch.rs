@@ -193,15 +193,42 @@ impl BatchStats {
 
 /// Extra slack (m) the idle-tick Frenet-space circumcircle prefilter
 /// adds on top of the footprint radii before it may *skip* the exact
-/// world-frame collision check. On an exactly straight reference line
-/// the (s, d) chart is an isometry, so the world-frame center distance
-/// differs from the Frenet one only by floating-point noise (≲ 1e-9 m
-/// at catalog coordinates); a full meter of slack makes the skip
-/// decision robust by six orders of magnitude while still filtering
-/// out essentially every far-apart pair. Pairs inside the slack run
-/// the engine-identical world-frame check, so outcomes stay bitwise
-/// equal either way.
+/// world-frame collision check.
+///
+/// Why it holds: on an exactly straight reference line (every segment
+/// heading bitwise equal) the (s, d) chart is an isometry. Both the ego
+/// and an actor are placed by `frame_at(s) + left·d`, so in exact
+/// arithmetic their world-frame center offset is `u·Δs + n·Δd`, with
+/// `u` the road's unit tangent and `n` its left normal, and its length
+/// is `√(Δs² + Δd²)`. Each pose coordinate takes a few roundings of
+/// values no larger than the coordinates themselves, so the computed
+/// world and Frenet distances differ by floating-point noise alone
+/// (≲ 1e-9 m at catalog coordinates). A full meter of slack makes the
+/// skip decision robust by six orders of magnitude while still
+/// filtering out essentially every far-apart pair. Pairs inside the
+/// slack go on to [`FRENET_AXIS_SLACK`]'s test and else to the
+/// engine-identical world-frame check, so outcomes stay bitwise equal
+/// either way.
 const FRENET_PREFILTER_SLACK: f64 = 1.0;
+
+/// Extra reach (m) the idle-tick prefilter adds to the actor's
+/// circumradius when it evaluates [`collision_check_lean`]'s ego-axis
+/// early-out ([`separated_on_ego_axes`]) on the Frenet offsets
+/// (Δs, Δd) rather than on the world-frame offset's projections onto
+/// the ego's axes.
+///
+/// Why it holds: the argument of [`FRENET_PREFILTER_SLACK`]. On an
+/// exactly straight road the ego's heading is the road's, so its axes
+/// are `u` and `n` up to a rounding of the tangent, and the world-frame
+/// projections the lean check computes equal Δs and ±Δd up to the same
+/// floating-point noise (≲ 1e-9 m). A pair whose Frenet offsets clear
+/// the early-out's bounds by this slack therefore clears them in the
+/// world frame too: the lean check would skip it at its early-out, so
+/// skipping it here changes no verdict. 0.1 m is robust by eight orders
+/// of magnitude and still settles a car riding alongside in the next
+/// lane: there |Δd| = 3.7 m, against half the ego's width plus the
+/// car's circumradius, 0.9 + 2.42 m, plus this slack.
+const FRENET_AXIS_SLACK: f64 = 0.1;
 
 impl<'sim, 'obs> BatchSim<'sim, 'obs> {
     /// Builds a batched run over `sim`'s scenario. Shared actors are
@@ -327,12 +354,12 @@ impl<'sim, 'obs> BatchSim<'sim, 'obs> {
         // certificate due, only the collision check remains, and that
         // check reads world poses directly ([`collision_check_lean`])
         // instead of materializing the snapshot. On an exactly straight
-        // road a Frenet-space circumcircle prefilter over the raw (s, d)
-        // state settles the overwhelmingly common far-apart case without
-        // any world-frame math at all ([`FRENET_PREFILTER_SLACK`]); on
-        // curved roads every idle tick runs the lean check. Either way
-        // the check is input-for-input the engine's, so outcomes are
-        // bitwise unchanged.
+        // road a Frenet-space prefilter over the raw (s, d) state
+        // ([`frenet_near`]) settles the far-apart and the side-by-side
+        // cases without any world-frame math at all; on curved roads
+        // every idle tick runs the lean check. Either way the check is
+        // input-for-input the engine's, so outcomes are bitwise
+        // unchanged.
         let fast = self.certify;
         let straight = self.curvature == 0.0;
         let mut shared_ready = false;
@@ -400,23 +427,19 @@ impl<'sim, 'obs> BatchSim<'sim, 'obs> {
                 let near = if straight {
                     let e_s = lane.ego.s().value();
                     let e_d = lane.ego.d().value();
-                    let mut near = false;
-                    for i in 0..self.sim.actor_circumradii.len() {
+                    (0..self.sim.actor_circumradii.len()).any(|i| {
                         let (a_s, a_d) = match &lane.forks[i] {
                             Some(fork) => (fork.s().value(), fork.d().value()),
                             None => (self.actor_s[i], self.actor_d[i]),
                         };
-                        let ds = a_s - e_s;
-                        let dd = a_d - e_d;
-                        let r = lane.ego_circumradius
-                            + self.sim.actor_circumradii[i]
-                            + FRENET_PREFILTER_SLACK;
-                        if ds * ds + dd * dd <= r * r {
-                            near = true;
-                            break;
-                        }
-                    }
-                    near
+                        frenet_near(
+                            a_s - e_s,
+                            a_d - e_d,
+                            lane.ego.dims(),
+                            lane.ego_circumradius,
+                            self.sim.actor_circumradii[i],
+                        )
+                    })
                 } else {
                     true
                 };
@@ -753,10 +776,12 @@ fn collision_check_lean(
         // the ego's length) with two dot products instead of the full
         // corner projections.
         let axis = *ego_axis.get_or_insert_with(|| Vec2::from_heading(ego.state.heading));
-        let r_actor = circumradius + 1e-6;
-        if delta.dot(axis).abs() > ego.dims.length.value() / 2.0 + r_actor
-            || delta.cross(axis).abs() > ego.dims.width.value() / 2.0 + r_actor
-        {
+        if separated_on_ego_axes(
+            delta.dot(axis),
+            delta.cross(axis),
+            ego.dims,
+            circumradius + 1e-6,
+        ) {
             continue;
         }
         let ego_fp = ego_fp.get_or_insert_with(|| ego.footprint());
@@ -775,6 +800,33 @@ fn collision_check_lean(
         }
     }
     false
+}
+
+/// [`collision_check_lean`]'s separating-axis early-out: an actor whose
+/// center lies `along` the ego's heading and `across` it from the ego's
+/// center, and whose footprint lies within `reach` of its own center,
+/// is separated from the ego's footprint on one of the ego's axes.
+fn separated_on_ego_axes(along: f64, across: f64, ego: Dimensions, reach: f64) -> bool {
+    along.abs() > ego.length.value() / 2.0 + reach || across.abs() > ego.width.value() / 2.0 + reach
+}
+
+/// Whether the straight-road idle prefilter must hand an (ego, actor)
+/// pair to [`collision_check_lean`]: `(ds, dd)` is the actor's Frenet
+/// offset from the ego. A pair is settled (`false`) when its centers lie
+/// farther apart than both circumradii plus [`FRENET_PREFILTER_SLACK`],
+/// or when the lean check's ego-axis early-out, evaluated on `(ds, dd)`
+/// with [`FRENET_AXIS_SLACK`], separates it. Either way the lean check
+/// would skip the pair too.
+fn frenet_near(
+    ds: f64,
+    dd: f64,
+    ego: Dimensions,
+    ego_circumradius: f64,
+    actor_circumradius: f64,
+) -> bool {
+    let r = ego_circumradius + actor_circumradius + FRENET_PREFILTER_SLACK;
+    ds * ds + dd * dd <= r * r
+        && !separated_on_ego_axes(ds, dd, ego, actor_circumradius + 1e-6 + FRENET_AXIS_SLACK)
 }
 
 impl Simulation {
@@ -1072,5 +1124,132 @@ mod tests {
             perception: perception(30.0),
         }];
         s.run_batched(specs, Vec::new());
+    }
+
+    #[test]
+    fn frenet_prefilter_settles_a_pair_only_where_the_lean_check_skips_it() {
+        // Deterministic pseudo-random draws (LCG), no external RNG.
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut unit = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 11) as f64 / (1u64 << 53) as f64 // in [0, 1)
+        };
+        let car = Dimensions::CAR;
+        let car_r = car.circumradius();
+        // The lean early-out's bounds for two cars.
+        let along = car.length.value() / 2.0 + car_r + 1e-6;
+        let across = car.width.value() / 2.0 + car_r + 1e-6;
+        // (road, whether its next lane sits 3.7 m over): the catalog's
+        // road; rotated roads far from the origin, where world and Frenet
+        // offsets differ in their last bits; and rotated roads whose next
+        // lane sits within a few rounding steps of `across`.
+        let rotated = |origin: Vec2, heading: f64, lane_width: f64| {
+            let path = Path::straight(origin, Radians(heading), Meters(3000.0));
+            Road::new(path, 3, Meters(lane_width)).expect("valid road")
+        };
+        let mut roads = vec![(Road::straight_three_lane(Meters(3000.0)), true)];
+        for k in 0..6 {
+            let origin = Vec2::new(-41_234.5 + 9_000.0 * unit(), 17_020.25 - 30_000.0 * unit());
+            roads.push((rotated(origin, 6.0 * unit() - 3.0, 3.7), true));
+            let width = across + f64::from(k - 3) * 4e-12;
+            roads.push((rotated(origin, 6.0 * unit() - 3.0, width), false));
+        }
+        let place = |lane: u32, s: f64| Placement {
+            lane: LaneId(lane),
+            s: Meters(s),
+            speed: MetersPerSecond(20.0),
+        };
+        let (mut side_by_side, mut settled_inside, mut at_bound) = (0, 0, 0);
+        for (road, next_lane_far) in &roads {
+            for _ in 0..40 {
+                let e_s = 200.0 + 2000.0 * unit();
+                let ego = ego(road, 25.0);
+                let ego = EgoVehicle::spawn(road, ego.lane(), Meters(e_s), *ego.config());
+                // (actor, whether it rides alongside in the next lane)
+                let mut actors = Vec::new();
+                let spawn = |script| ScriptedActor::spawn(script, road);
+                for lane in [0, 2] {
+                    let s = e_s + 12.0 * (unit() - 0.5);
+                    actors.push((
+                        spawn(ActorScript::cruising(ActorId(1), place(lane, s))),
+                        true,
+                    ));
+                }
+                // Bumper to bumper, and within a few rounding steps of the
+                // along bound, with and without the prefilter's slack.
+                for sign in [-1.0, 1.0] {
+                    let s = e_s + sign * (car.length.value() + 0.5 * unit() - 0.25);
+                    actors.push((spawn(ActorScript::cruising(ActorId(1), place(1, s))), false));
+                    for bound in [along, along + FRENET_AXIS_SLACK] {
+                        for k in -8..=8 {
+                            let s = e_s + sign * (bound + f64::from(k) * 4e-12);
+                            let script = ActorScript::cruising(ActorId(1), place(1, s));
+                            actors.push((spawn(script), false));
+                        }
+                    }
+                }
+                // Mid lane change from either neighbouring lane into the
+                // ego's, a seeded number of ticks in.
+                let obs = EgoObservation {
+                    s: ego.s(),
+                    speed: ego.speed(),
+                    half_length: Meters(car.length.value() / 2.0),
+                };
+                for lane in [0, 2] {
+                    let script =
+                        ActorScript::cruising(ActorId(1), place(lane, e_s + 8.0 * (unit() - 0.5)))
+                            .with_maneuver(
+                                Trigger::Immediately,
+                                Action::ChangeLane {
+                                    target: LaneId(1),
+                                    duration: Seconds(2.0),
+                                },
+                            );
+                    let mut actor = spawn(script);
+                    for tick in 0..(200.0 * unit()) as u32 {
+                        let now = Seconds(f64::from(tick) * 0.01);
+                        actor.step(now, Seconds(0.01), &obs, road);
+                    }
+                    actors.push((actor, false));
+                }
+                let ego_agent = ego.to_agent(road);
+                let axis = Vec2::from_heading(ego_agent.state.heading);
+                for (actor, alongside) in &actors {
+                    let agent = actor.to_agent(road);
+                    let (ds, dd) = ((actor.s() - ego.s()).value(), (actor.d() - ego.d()).value());
+                    let near = frenet_near(ds, dd, ego.dims(), car_r, car_r);
+                    if *alongside && *next_lane_far {
+                        assert!(!near, "a car alongside in the next lane is settled");
+                        side_by_side += 1;
+                    }
+                    if near {
+                        continue;
+                    }
+                    // What `collision_check_lean` does with the pair.
+                    let delta = agent.state.position - ego_agent.state.position;
+                    let r_sum = car_r + car_r;
+                    let outside = delta.norm_sq() > r_sum * r_sum;
+                    let separated = separated_on_ego_axes(
+                        delta.dot(axis),
+                        delta.cross(axis),
+                        ego_agent.dims,
+                        car_r + 1e-6,
+                    );
+                    assert!(
+                        outside || separated,
+                        "settled (Δs {ds}, Δd {dd}), but the lean check reaches its SAT"
+                    );
+                    assert!(!ego_agent.footprint().intersects(&agent.footprint()));
+                    settled_inside += usize::from(!outside);
+                    at_bound += usize::from((ds.abs() - along - FRENET_AXIS_SLACK).abs() < 1e-9);
+                }
+            }
+        }
+        assert!(
+            side_by_side > 500 && settled_inside > 4000 && at_bound > 4000,
+            "alongside {side_by_side}, settled inside the circle {settled_inside}, at the bound {at_bound}"
+        );
     }
 }

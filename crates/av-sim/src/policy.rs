@@ -183,6 +183,15 @@ impl EgoVehicle {
     /// agent's last winning projection segment across ticks — the
     /// temporal-coherence fast path of [`Path::project_with_hint`], which
     /// is bit-identical to the plain projection.
+    ///
+    /// On an arc, an agent whose [`Path::lateral_bounds`] interval
+    /// `[lo, hi]` lies wholly past one corridor edge is skipped without
+    /// projecting it. The skip is exact: the projected offset `d` lies in
+    /// `[lo, hi]`, and the rounded subtraction `d − d_ego` is monotone in
+    /// `d`, so `lo − d_ego > corridor` (or `hi − d_ego < −corridor`)
+    /// forces `|d − d_ego| > corridor`, the test below that would skip
+    /// the agent after projecting it. A hint left unrefreshed by the skip
+    /// only costs its next projection speed.
     fn lead<'a>(
         &self,
         perceived: &'a [Agent],
@@ -194,6 +203,17 @@ impl EgoVehicle {
             if agent.id.is_ego() {
                 continue;
             }
+            let corridor = Meters(
+                (self.dims.width.value() + agent.dims.width.value()) / 2.0
+                    + self.config.corridor_margin.value(),
+            );
+            if let Some((lo, hi)) = road.path().lateral_bounds(agent.state.position) {
+                if (lo - self.d).value() > corridor.value()
+                    || (hi - self.d).value() < -corridor.value()
+                {
+                    continue;
+                }
+            }
             let f = match hints.as_deref_mut() {
                 Some(hints) => road
                     .path()
@@ -201,10 +221,6 @@ impl EgoVehicle {
                 None => road.to_frenet(agent.state.position),
             };
             let lateral = (f.d - self.d).abs();
-            let corridor = Meters(
-                (self.dims.width.value() + agent.dims.width.value()) / 2.0
-                    + self.config.corridor_margin.value(),
-            );
             if lateral > corridor {
                 continue;
             }
@@ -422,6 +438,149 @@ mod tests {
         }
         assert_eq!(e.speed(), MetersPerSecond::ZERO);
         assert_eq!(e.accel(), MetersPerSecondSquared::ZERO);
+    }
+
+    /// [`EgoVehicle::lead`] without the `lateral_bounds` shortcut: every
+    /// agent projected, then the same corridor and gap tests. Returns
+    /// the leader's id and the bits of its gap.
+    fn lead_by_projection(
+        ego: &EgoVehicle,
+        perceived: &[Agent],
+        road: &Road,
+    ) -> Option<(ActorId, u64)> {
+        let mut best: Option<(ActorId, Meters)> = None;
+        for agent in perceived {
+            let f = road.to_frenet(agent.state.position);
+            let corridor = Meters(
+                (ego.dims.width.value() + agent.dims.width.value()) / 2.0
+                    + ego.config.corridor_margin.value(),
+            );
+            let ahead = (f.s - ego.s).value();
+            if (f.d - ego.d).abs() > corridor || ahead <= 0.0 {
+                continue;
+            }
+            let gap = Meters(ahead - (ego.dims.length.value() + agent.dims.length.value()) / 2.0);
+            if best.is_none_or(|(_, g)| gap < g) {
+                best = Some((agent.id, gap));
+            }
+        }
+        best.map(|(id, gap)| (id, gap.value().to_bits()))
+    }
+
+    fn lead_bits(
+        ego: &EgoVehicle,
+        perceived: &[Agent],
+        road: &Road,
+        hints: Option<&mut [ProjectionHint]>,
+    ) -> Option<(ActorId, u64)> {
+        ego.lead(perceived, road, hints)
+            .map(|(agent, gap)| (agent.id, gap.value().to_bits()))
+    }
+
+    #[test]
+    fn lead_on_arcs_matches_projecting_every_agent() {
+        use std::f64::consts::{FRAC_PI_2, TAU};
+        // Deterministic pseudo-random draws (LCG), no external RNG.
+        let mut state = 0x5851_f42d_4c95_7f2du64;
+        let mut unit = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 11) as f64 / (1u64 << 53) as f64 // in [0, 1)
+        };
+        // (radius, length): the catalog's arc, the fuzzer's sharpest and
+        // longest (6 rad at 500 m), then fuzzed arcs of radius 500–800 m
+        // sweeping up to 6 rad.
+        let mut arcs = vec![(400.0, 1500.0), (500.0, 3000.0)];
+        for _ in 0..14 {
+            let radius = 500.0 + 300.0 * unit();
+            arcs.push((radius, radius * (0.5 + 5.5 * unit())));
+        }
+        let corridor = Dimensions::CAR.width.value() + 0.3;
+        let (mut skipped, mut straddling, mut led) = (0, 0, 0);
+        for (radius, length) in arcs {
+            let road = Road::curved_three_lane(Meters(radius), Meters(length));
+            let path = road.path();
+            let at = |s: f64, d: f64| path.frenet_to_world(FrenetPose::new(Meters(s), Meters(d)));
+            let center = Vec2::new(0.0, radius);
+            let sweep = length / radius;
+            for _ in 0..8 {
+                let ego = EgoVehicle::spawn(
+                    &road,
+                    LaneId(1),
+                    Meters(length * unit()),
+                    PolicyConfig::cruise(MetersPerSecond(25.0)),
+                );
+                let (e_s, e_d) = (ego.s().value(), ego.d().value());
+                let mut points = Vec::new();
+                // Offsets within 1e-9 m of either corridor edge, mostly
+                // ahead of the ego.
+                for edge in [e_d - corridor, e_d + corridor] {
+                    for k in -4..=4 {
+                        let s = e_s + 250.0 * (unit() - 0.2);
+                        points.push(at(s, edge + f64::from(k) * 2.5e-10));
+                    }
+                }
+                // Any offset across the road and beyond it, along the arc
+                // and past either of its ends.
+                for _ in 0..24 {
+                    let s = length * (1.4 * unit() - 0.2);
+                    points.push(at(s, 30.0 * unit() - 11.3));
+                }
+                // In the ego's lane past either end, where an extended end
+                // segment is nearer than the circle.
+                for _ in 0..6 {
+                    let past = 0.35 * radius * unit();
+                    let d = e_d + 2.0 * corridor * (unit() - 0.5);
+                    points.push(at(length + past, d));
+                    points.push(at(-past, d));
+                }
+                // Outside the sweep, at any distance from the center.
+                for _ in 0..8 {
+                    let azimuth = -FRAC_PI_2 + sweep + (TAU - sweep) * unit();
+                    let r = 2.0 * radius * unit();
+                    points.push(center + Vec2::from_heading(Radians(azimuth)) * r);
+                }
+                let agents: Vec<Agent> = points
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &p)| {
+                        let mut agent = lead_agent(0.0, 0.0, 20.0);
+                        agent.id = ActorId(i as u32 + 1);
+                        agent.state.position = p;
+                        agent
+                    })
+                    .collect();
+                for agent in &agents {
+                    let alone = std::slice::from_ref(agent);
+                    let expected = lead_by_projection(&ego, alone, &road);
+                    assert_eq!(lead_bits(&ego, alone, &road, None), expected);
+                    let mut hint = [ProjectionHint::default()];
+                    assert_eq!(lead_bits(&ego, alone, &road, Some(&mut hint)), expected);
+                    led += usize::from(expected.is_some());
+                    if let Some((lo, hi)) = path.lateral_bounds(agent.state.position) {
+                        let (lo, hi) = (lo.value() - e_d, hi.value() - e_d);
+                        if lo > corridor || hi < -corridor {
+                            skipped += 1;
+                        } else if lo.abs() > corridor || hi.abs() > corridor {
+                            let d = road.to_frenet(agent.state.position).d.value();
+                            straddling += usize::from((d - e_d).abs() <= corridor);
+                        }
+                    }
+                }
+                let expected = lead_by_projection(&ego, &agents, &road);
+                assert_eq!(lead_bits(&ego, &agents, &road, None), expected);
+                let mut hints = vec![ProjectionHint::default(); agents.len()];
+                for _ in 0..2 {
+                    let hinted = lead_bits(&ego, &agents, &road, Some(&mut hints));
+                    assert_eq!(hinted, expected);
+                }
+            }
+        }
+        assert!(
+            skipped > 1400 && straddling > 800 && led > 1400,
+            "skipped {skipped}, straddling {straddling}, led {led}"
+        );
     }
 
     #[test]
