@@ -1165,8 +1165,8 @@ mod tests {
         for (road, next_lane_far) in &roads {
             for _ in 0..40 {
                 let e_s = 200.0 + 2000.0 * unit();
-                let ego = ego(road, 25.0);
-                let ego = EgoVehicle::spawn(road, ego.lane(), Meters(e_s), *ego.config());
+                let cruise = PolicyConfig::cruise(MetersPerSecond(25.0));
+                let ego = EgoVehicle::spawn(road, LaneId(1), Meters(e_s), cruise);
                 // (actor, whether it rides alongside in the next lane)
                 let mut actors = Vec::new();
                 let spawn = |script| ScriptedActor::spawn(script, road);
